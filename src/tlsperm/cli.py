@@ -133,9 +133,13 @@ def parse_estimators(text: str, default_cost: str = "c3") -> list[str]:
     return labels
 
 
-def _parse_init(spec: str) -> tuple[str, int]:
-    if spec in ("truth", "identity", "random"):
-        return spec, 0
+def _resolve_permutation(spec: str, n: int | None = None, rng=None, truth=None):
+    """Resolve a truth|identity|random|partial=K spec to a permutation of 0..n-1.
+
+    truth returns a copy of `truth`, which must then be known; random and
+    partial=K draw from rng. With n None the spec is only checked.
+    """
+    k = 0
     if spec.startswith("partial="):
         try:
             k = int(spec[len("partial="):])
@@ -143,8 +147,21 @@ def _parse_init(spec: str) -> tuple[str, int]:
             raise ContractViolation(f"bad init spec {spec!r}") from exc
         if k < 0:
             raise ContractViolation("partial shuffle size must be nonnegative")
-        return "partial", k
-    raise ContractViolation(f"unknown init spec {spec!r}")
+    elif spec not in ("truth", "identity", "random"):
+        raise ContractViolation(f"unknown init spec {spec!r}")
+    if n is None:
+        return None
+    if spec == "truth":
+        if truth is None:
+            raise ContractViolation("--init truth needs a known true permutation")
+        return np.array(truth, dtype=np.intp)
+    if spec == "identity":
+        return identity_permutation(n)
+    if spec == "random":
+        return random_permutation(n, rng)
+    if k > n:
+        raise ContractViolation(f"partial shuffle size {k} exceeds n={n}")
+    return partial_shuffle(n, k, rng)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -158,7 +175,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ContractViolation("workers must be >= 1")
     if cfg.p < 1:
         raise ContractViolation("p must be >= 1")
-    _parse_init(cfg.init)
+    _resolve_permutation(cfg.init)
     parse_estimators(",".join(cfg.estimators))
     if cfg.axis in ("n", "snr"):
         for g in cfg.grid:
@@ -220,17 +237,7 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[TrialReco
     if shuffle_k is not None:
         init = partial_shuffle(n, shuffle_k, rng)
     else:
-        mode, k = _parse_init(cfg.init)
-        if mode == "truth":
-            init = pi_star.copy()
-        elif mode == "identity":
-            init = identity_permutation(n)
-        elif mode == "random":
-            init = random_permutation(n, rng)
-        else:
-            if k > n:
-                raise ContractViolation(f"partial shuffle size {k} exceeds n={n}")
-            init = partial_shuffle(n, k, rng)
+        init = _resolve_permutation(cfg.init, n, rng, truth=pi_star)
     obs = generate_observations(ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov), rng)
     records = []
     for label in cfg.estimators:
@@ -306,44 +313,20 @@ def summarize(records: list[TrialRecord]) -> list[dict]:
     return rows
 
 
-def write_records_csv(path, records: list[TrialRecord]) -> None:
-    lines = [RECORDS_SCHEMA, RECORD_COLUMNS]
-    for rec in records:
-        lines.append(",".join([
-            rec.axis,
-            str(rec.grid_index),
-            format_float(rec.grid_value),
-            rec.estimator,
-            str(rec.trial),
-            format_float(rec.procrustes),
-            format_float(rec.quadratic),
-            str(rec.hamming),
-            format_float(rec.objective),
-            str(rec.iterations),
-            "1" if rec.converged else "0",
-            rec.failed,
-            f"{rec.wall_ms:.3f}",
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
 
 
-def write_summary_csv(path, rows: list[dict]) -> None:
-    lines = [SUMMARY_SCHEMA, SUMMARY_COLUMNS]
-    for row in rows:
-        lines.append(",".join([
-            row["axis"],
-            str(row["grid_index"]),
-            format_float(row["grid_value"]),
-            row["estimator"],
-            str(row["trials"]),
-            str(row["failures"]),
-            format_float(row["mean_procrustes"]),
-            format_float(row["q25_procrustes"]),
-            format_float(row["median_procrustes"]),
-            format_float(row["q75_procrustes"]),
-            format_float(row["mean_quadratic"]),
-            format_float(row["mean_hamming"]),
-        ]))
+def write_table(path, schema: str, columns: str, rows) -> None:
+    """Write a schema line, the column line, then one comma-joined line per
+    row of cells in column order: floats as format_float, bools as 1/0,
+    anything else through str."""
+    lines = [schema, columns]
+    lines += [",".join(_cell(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -434,22 +417,6 @@ def run_bound(n: int, p: int, sigma, theta: float, etas: list[float],
     return rows
 
 
-def write_bound_csv(path, rows: list[dict]) -> None:
-    lines = [BOUND_SCHEMA,
-             "n,p,eta,c,snr,a_n,bound,prob_statement,prob_derivation,noiseless"]
-    for row in rows:
-        lines.append(",".join([
-            str(row["n"]), str(row["p"]),
-            format_float(row["eta"]), format_float(row["c"]),
-            format_float(row["snr"]), format_float(row["a_n"]),
-            format_float(row["bound"]),
-            format_float(row["prob_statement"]),
-            format_float(row["prob_derivation"]),
-            "1" if row["noiseless"] else "0",
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
                     p: int = 2, eps: float = 0.5,
                     samples: int = 64) -> tuple[list[dict], int]:
@@ -502,17 +469,6 @@ def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
     rows.append({"kind": kind, "trial": trials, "n": n, "p": p,
                  "lhs": freq, "rhs": rhs, "violation": int(bad)})
     return rows, violations
-
-
-def write_lemma_csv(path, rows: list[dict]) -> None:
-    lines = [LEMMA_SCHEMA, "kind,trial,n,p,lhs,rhs,violation"]
-    for row in rows:
-        lines.append(",".join([
-            row["kind"], str(row["trial"]), str(row["n"]), str(row["p"]),
-            format_float(row["lhs"]), format_float(row["rhs"]),
-            str(row["violation"]),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # -- argparse front end -------------------------------------------------------
@@ -637,23 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _true_permutation(spec: str, n: int, rng) -> np.ndarray:
-    mode, k = _parse_init(spec if spec != "truth" else "identity")
-    if mode == "identity":
-        return identity_permutation(n)
-    if mode == "random":
-        return random_permutation(n, rng)
-    if k > n:
-        raise ContractViolation(f"partial shuffle size {k} exceeds n={n}")
-    return partial_shuffle(n, k, rng)
-
-
 def _generate_cli_instance(args, perm_spec: str):
     rng = stream(args.seed)
     cov = as_covariance(_sigma_value(args.sigma), args.p)
     x = generate_design(args.n, args.p, rng)
     r = rotation_2d(args.theta) if args.p == 2 else random_orthogonal(args.p, rng)
-    pi_star = _true_permutation(perm_spec, args.n, rng)
+    # --perm truth names the identity here
+    pi_star = _resolve_permutation(perm_spec, args.n, rng, truth=identity_permutation(args.n))
     inst = ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov)
     return inst, generate_observations(inst, rng)
 
@@ -673,21 +619,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _resolve_init(spec: str, n: int, pi_star, rng) -> np.ndarray:
-    mode, k = _parse_init(spec)
-    if mode == "truth":
-        if pi_star is None:
-            raise ContractViolation("--init truth needs a known true permutation")
-        return np.array(pi_star, dtype=np.intp)
-    if mode == "identity":
-        return identity_permutation(n)
-    if mode == "random":
-        return random_permutation(n, rng)
-    if k > n:
-        raise ContractViolation(f"partial shuffle size {k} exceeds n={n}")
-    return partial_shuffle(n, k, rng)
-
-
 def _cmd_estimate(args) -> int:
     from .matio import read_permutation
     if (args.y1 is None) != (args.y2 is None):
@@ -701,7 +632,7 @@ def _cmd_estimate(args) -> int:
         inst, obs = _generate_cli_instance(args, "identity")
         y1, y2, x, pi_star = obs.y1, obs.y2, inst.x, inst.pi_star
     n = y1.shape[0]
-    init = _resolve_init(args.init, n, pi_star, stream(args.seed, 1))
+    init = _resolve_permutation(args.init, n, stream(args.seed, 1), truth=pi_star)
     label = parse_estimators(args.estimator, args.cost)[0]
     result = _run_estimator(label, y1, y2, init)
     print(f"estimator: {label}")
@@ -737,9 +668,14 @@ def _cmd_sweep(args) -> int:
     records, summary = run_sweep(cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_records_csv(out, records)
+    write_table(out, RECORDS_SCHEMA, RECORD_COLUMNS, [
+        (rec.axis, rec.grid_index, rec.grid_value, rec.estimator, rec.trial,
+         rec.procrustes, rec.quadratic, rec.hamming, rec.objective, rec.iterations,
+         rec.converged, rec.failed, f"{rec.wall_ms:.3f}")
+        for rec in records])
     summary_path = out.with_suffix(".summary.csv")
-    write_summary_csv(summary_path, summary)
+    write_table(summary_path, SUMMARY_SCHEMA, SUMMARY_COLUMNS,
+                [row.values() for row in summary])
     print(out)
     print(summary_path)
     if args.svg:
@@ -762,7 +698,9 @@ def _cmd_bound(args) -> int:
         print(f"eta={row['eta']:g} bound={row['bound']:.6g} a_n={row['a_n']:.6g} "
               f"snr={row['snr']:.6g} prob>={ps:.6g} (derivation {pd:.6g})")
     if args.out:
-        write_bound_csv(args.out, rows)
+        write_table(args.out, BOUND_SCHEMA,
+                    "n,p,eta,c,snr,a_n,bound,prob_statement,prob_derivation,noiseless",
+                    [row.values() for row in rows])
         print(args.out)
     return 0
 
@@ -788,7 +726,8 @@ def _cmd_lemma(args) -> int:
     rows, violations = run_lemma_suite(args.kind, args.trials, args.seed,
                                        n=args.n, p=args.p, eps=args.eps)
     if args.out:
-        write_lemma_csv(args.out, rows)
+        write_table(args.out, LEMMA_SCHEMA, "kind,trial,n,p,lhs,rhs,violation",
+                    [row.values() for row in rows])
         print(args.out)
     worst = max((row["lhs"] - row["rhs"] for row in rows), default=0.0)
     print(f"kind={args.kind} trials={args.trials} violations={violations} "

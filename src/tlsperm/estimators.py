@@ -8,8 +8,16 @@ Three routes to a row alignment between y2 and y1:
   assignment over one of four cost matrices (c1..c4);
 * a faster ordinary-least-squares alternation that ignores design noise.
 
-Both iterative schemes keep every visited iterate and return the best one by
-their selection metric, not the last, because the alternation may wander.
+Both iterative schemes run on one engine, ``_alternate``, and supply only a
+fit step, a cost step and how an assignment composes with the current
+permutation. The engine keeps every visited iterate and returns the best one
+by the scheme's selection metric, not the last, because the alternation may
+wander. A non-finite objective or cost matrix (inputs so large that squares
+overflow) raises NumericalFailure.
+
+Inputs are validated once, by the public functions. The engine and the
+private kernels (``_cost``, ``tls._fit``, ``tls._objective``) take arrays that
+are already validated.
 
 Cost-matrix orientation: after a fit at the current permutation, fitted row j
 is aligned with y2 row j and was built from y1 row pi_cur[j]. Costs c1 and c3
@@ -25,11 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ContractViolation, DegenerateFit, RankDeficient
+from .errors import ContractViolation, DegenerateFit, NumericalFailure, RankDeficient
 from .lap import solve_lap
-from .linalg import as_matrix, singular_values
+from .linalg import _singular_values, as_matrix
 from .model import as_permutation, identity_permutation
-from .tls import TlsFit, tls_fit, tls_objective
+from .tls import TlsFit, _fit, _objective, _observation_pair, tls_objective
 
 COST_KINDS = ("c1", "c2", "c3", "c4")
 
@@ -59,21 +67,11 @@ class EstimateResult:
         return float(min(self.objective_trace))
 
 
-def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
-    m1 = as_matrix(y1, "y1")
-    m2 = as_matrix(y2, "y2")
-    if m1.shape != m2.shape:
-        raise ContractViolation(f"y1 and y2 shapes differ: {m1.shape} vs {m2.shape}")
-    n, p = m1.shape
-    if n < 2 * p:
-        raise ContractViolation(f"need n >= 2p, got n={n}, p={p}")
-    return m1, m2, n, p
-
-
 def brute_force_tls(y1, y2, limit: int = BRUTE_FORCE_LIMIT) -> EstimateResult:
     """Exact argmin of the rank-p residual over all n! row alignments.
 
     Refuses n > limit. Ties break to the lexicographically first permutation.
+    Raises NumericalFailure when no alignment has a finite residual.
     """
     m1, m2, n, _ = _observation_pair(y1, y2)
     if n > limit:
@@ -88,6 +86,8 @@ def brute_force_tls(y1, y2, limit: int = BRUTE_FORCE_LIMIT) -> EstimateResult:
         if obj < best_obj:
             best_obj = obj
             best_perm = perm
+    if not np.isfinite(best_obj):
+        raise NumericalFailure("rank-p residual is not finite at any alignment")
     return EstimateResult(
         perm=best_perm,
         iterations=count,
@@ -108,13 +108,18 @@ def build_cost(kind: str, fit: TlsFit, y1, y2) -> np.ndarray:
     (r_hat y2[i] + y1[j]); the p x p system is factored once and the value is
     expanded so the whole matrix fills in O(n^2 p).
     """
-    if kind not in COST_KINDS:
-        raise ContractViolation(f"unknown cost kind {kind!r}, expected one of {COST_KINDS}")
+    _check_kind(kind)
     m1, m2, _, p = _observation_pair(y1, y2)
     x_hat = as_matrix(fit.x_hat, "x_hat")
     r_hat = as_matrix(fit.r_hat, "r_hat")
     if x_hat.shape != m1.shape or r_hat.shape != (p, p):
         raise ContractViolation("fit shapes are inconsistent with the observations")
+    return _cost(kind, x_hat, r_hat, m1, m2)
+
+
+def _cost(kind: str, x_hat: np.ndarray, r_hat: np.ndarray,
+          m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """build_cost() on validated arrays."""
     if kind == "c1":
         return cdist(m2, x_hat @ r_hat, "sqeuclidean")
     if kind == "c2":
@@ -123,7 +128,7 @@ def build_cost(kind: str, fit: TlsFit, y1, y2) -> np.ndarray:
         return cdist(m2, x_hat @ r_hat, "sqeuclidean") + cdist(x_hat, m1, "sqeuclidean")
     # c4: with u_i = r_hat @ y2[i], v_j = y1[j], m = r_hat r_hat.T + I, the
     # minimum equals ||y2_i||^2 + ||y1_j||^2 - (u_i+v_j).T m^{-1} (u_i+v_j).
-    m = r_hat @ r_hat.T + np.eye(p)
+    m = r_hat @ r_hat.T + np.eye(m1.shape[1])
     u = m2 @ r_hat.T
     mu = np.linalg.solve(m, u.T).T
     mv = np.linalg.solve(m, m1.T).T
@@ -132,10 +137,63 @@ def build_cost(kind: str, fit: TlsFit, y1, y2) -> np.ndarray:
     return quad_u[:, None] + quad_v[None, :] - 2.0 * (u @ mv.T)
 
 
-def _validated_init(init, n: int) -> np.ndarray:
-    if init is None:
-        return identity_permutation(n)
-    return as_permutation(init, n)
+def _check_kind(kind: str) -> None:
+    if kind not in COST_KINDS:
+        raise ContractViolation(f"unknown cost kind {kind!r}, expected one of {COST_KINDS}")
+
+
+def _start(y1, y2, init, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the inputs shared by the iterative schemes: (y1, y2, first perm)."""
+    if max_iter < 1:
+        raise ContractViolation("max_iter must be >= 1")
+    m1, m2, n, _ = _observation_pair(y1, y2)
+    pi = identity_permutation(n) if init is None else as_permutation(init, n)
+    return m1, m2, pi
+
+
+def _alternate(pi, fit, cost, compose, max_iter: int,
+               tol: float) -> tuple[EstimateResult, list[float]]:
+    """Alternate fit and assignment from pi; return the result and the trace
+    of the selection metric.
+
+    fit(pi) gives (selection metric, rank-p objective, model), the model None
+    when the fit is degenerate; cost(model) gives the assignment cost and
+    compose(pi, a) the next permutation. Stops when the metric improves by
+    less than tol (relative), when an assignment revisits a permutation, after
+    max_iter fits, or on a degenerate fit, which sets the failure marker.
+    """
+    visited = {tuple(pi)}
+    perms: list[np.ndarray] = []
+    scores: list[float] = []
+    objectives: list[float] = []
+    converged = False
+    failure = None
+    for it in range(max_iter):
+        perms.append(pi)
+        score, objective, model = fit(pi)
+        if not (np.isfinite(score) and np.isfinite(objective)):
+            raise NumericalFailure("objective is not finite; the inputs may overflow")
+        scores.append(score)
+        objectives.append(objective)
+        if model is None:
+            failure = "degenerate_fit"
+            break
+        if it > 0 and scores[-2] - scores[-1] < tol * (1.0 + abs(scores[-2])):
+            converged = True
+            break
+        c = cost(model)
+        if not np.all(np.isfinite(c)):
+            raise NumericalFailure("cost matrix is not finite; the inputs may overflow")
+        assignment, _ = solve_lap(c)
+        pi_next = compose(pi, assignment)
+        if tuple(pi_next) in visited:
+            converged = True
+            break
+        visited.add(tuple(pi_next))
+        pi = pi_next
+    result = EstimateResult(perm=perms[int(np.argmin(scores))], iterations=len(scores),
+                            objective_trace=objectives, converged=converged, failure=failure)
+    return result, scores
 
 
 def alta(y1, y2, kind: str = "c3", init=None,
@@ -147,45 +205,23 @@ def alta(y1, y2, kind: str = "c3", init=None,
     iterate with the smallest recorded objective. A degenerate fit ends the
     run with a failure marker instead of raising.
     """
-    if kind not in COST_KINDS:
-        raise ContractViolation(f"unknown cost kind {kind!r}, expected one of {COST_KINDS}")
-    if max_iter < 1:
-        raise ContractViolation("max_iter must be >= 1")
-    m1, m2, n, _ = _observation_pair(y1, y2)
-    pi = _validated_init(init, n)
-    visited = {tuple(pi)}
-    perms: list[np.ndarray] = []
-    trace: list[float] = []
-    converged = False
-    failure = None
-    for it in range(max_iter):
-        perms.append(pi)
+    _check_kind(kind)
+    m1, m2, pi = _start(y1, y2, init, max_iter)
+
+    def fit(pi):
+        y1p = m1[pi]
         try:
-            fit = tls_fit(m2, m1[pi])
+            f = _fit(m2, y1p)
         except DegenerateFit:
-            trace.append(tls_objective(m2, m1[pi]))
-            failure = "degenerate_fit"
-            break
-        trace.append(fit.objective)
-        if it > 0 and trace[-2] - trace[-1] < tol * (1.0 + abs(trace[-2])):
-            converged = True
-            break
-        cost = build_cost(kind, fit, m1, m2)
-        assignment, _ = solve_lap(cost)
-        pi_next = pi[assignment] if kind in ("c1", "c3") else assignment
-        if tuple(pi_next) in visited:
-            converged = True
-            break
-        visited.add(tuple(pi_next))
-        pi = pi_next
-    best = int(np.argmin(trace))
-    return EstimateResult(
-        perm=perms[best],
-        iterations=len(trace),
-        objective_trace=trace,
-        converged=converged,
-        failure=failure,
-    )
+            objective = _objective(m2, y1p)
+            return objective, objective, None
+        return f.objective, f.objective, f
+
+    def cost(f: TlsFit) -> np.ndarray:
+        return _cost(kind, f.x_hat, f.r_hat, m1, m2)
+
+    compose = (lambda pi, a: pi[a]) if kind in ("c1", "c3") else (lambda pi, a: a)
+    return _alternate(pi, fit, cost, compose, max_iter, tol)[0]
 
 
 def aloa(y1, y2, init=None, max_iter: int = 50, tol: float = 1e-10) -> EstimateResult:
@@ -196,39 +232,20 @@ def aloa(y1, y2, init=None, max_iter: int = 50, tol: float = 1e-10) -> EstimateR
     least-squares residual; the rank-p objective is recorded alongside for
     comparison with the other estimators.
     """
-    if max_iter < 1:
-        raise ContractViolation("max_iter must be >= 1")
-    m1, m2, n, _ = _observation_pair(y1, y2)
-    sv = singular_values(m1)
+    m1, m2, pi = _start(y1, y2, init, max_iter)
+    sv = _singular_values(m1)
     if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise RankDeficient("y1 must have full column rank for the least-squares route")
-    pi = _validated_init(init, n)
-    visited = {tuple(pi)}
-    perms: list[np.ndarray] = []
-    trace: list[float] = []
-    residuals: list[float] = []
-    converged = False
-    for _it in range(max_iter):
-        perms.append(pi)
+
+    def fit(pi):
         y1p = m1[pi]
         r_hat, *_ = np.linalg.lstsq(y1p, m2, rcond=None)
-        residuals.append(float(np.linalg.norm(y1p @ r_hat - m2) ** 2))
-        trace.append(tls_objective(m2, y1p))
-        if _it > 0 and residuals[-2] - residuals[-1] < tol * (1.0 + abs(residuals[-2])):
-            converged = True
-            break
-        cost = cdist(m2, m1 @ r_hat, "sqeuclidean")
-        assignment, _ = solve_lap(cost)
-        if tuple(assignment) in visited:
-            converged = True
-            break
-        visited.add(tuple(assignment))
-        pi = assignment
-    best = int(np.argmin(residuals))
-    return EstimateResult(
-        perm=perms[best],
-        iterations=len(residuals),
-        objective_trace=trace,
-        converged=converged,
-        ols_residual_trace=residuals,
-    )
+        residual = float(np.linalg.norm(y1p @ r_hat - m2) ** 2)
+        return residual, _objective(m2, y1p), r_hat
+
+    def cost(r_hat: np.ndarray) -> np.ndarray:
+        return cdist(m2, m1 @ r_hat, "sqeuclidean")
+
+    result, residuals = _alternate(pi, fit, cost, lambda pi, a: a, max_iter, tol)
+    result.ols_residual_trace = residuals
+    return result

@@ -40,7 +40,11 @@ def svd(a) -> SvdResult:
     Each left singular vector is flipped, together with its right partner, so
     that its largest-magnitude entry is positive (first such entry on ties).
     """
-    arr = as_matrix(a, "svd input")
+    return _svd(as_matrix(a, "svd input"))
+
+
+def _svd(arr: np.ndarray) -> SvdResult:
+    """svd() on an array that is already a validated matrix."""
     try:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -56,7 +60,11 @@ def svd(a) -> SvdResult:
 
 def singular_values(a) -> np.ndarray:
     """Singular values only, descending. Cheaper than svd() when factors are unused."""
-    arr = as_matrix(a, "singular_values input")
+    return _singular_values(as_matrix(a, "singular_values input"))
+
+
+def _singular_values(arr: np.ndarray) -> np.ndarray:
+    """singular_values() on an array that is already a validated matrix."""
     try:
         return np.linalg.svd(arr, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -85,7 +93,12 @@ def orthogonal_procrustes(a, b) -> tuple[np.ndarray, float]:
     bm = as_matrix(b, "procrustes source")
     if am.shape != bm.shape:
         raise ContractViolation(f"procrustes shapes differ: {am.shape} vs {bm.shape}")
-    f = svd(bm.T @ am)
+    return _orthogonal_procrustes(am, bm)
+
+
+def _orthogonal_procrustes(am: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float]:
+    """orthogonal_procrustes() on validated matrices of one shape."""
+    f = _svd(bm.T @ am)
     q = f.u @ f.v.T
     loss = float(np.linalg.norm(am - bm @ q) ** 2)
     return q, loss
@@ -106,7 +119,7 @@ def condition_number(a) -> float:
     arr = as_matrix(a, "condition_number input")
     if arr.shape[0] < arr.shape[1]:
         raise ContractViolation("condition_number expects at least as many rows as columns")
-    s = singular_values(arr)
+    s = _singular_values(arr)
     if s[0] <= 0.0 or s[-1] <= _RANK_TOL * s[0]:
         return float("inf")
     return float(s[0] / s[-1])

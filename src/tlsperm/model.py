@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, RankDeficient
-from .linalg import as_matrix, frobenius_norm, svd
+from .linalg import _svd, as_matrix
 
 Rng = np.random.Generator
 
@@ -124,10 +124,10 @@ def generate_design(n: int, p: int, rng: Rng) -> np.ndarray:
         raise ContractViolation(f"generate_design needs 1 <= p <= n, got n={n}, p={p}")
     for _ in range(2):
         draw = rng.standard_normal((n, p))
-        f = svd(draw)
+        f = _svd(draw)
         if f.s[-1] > 1e-10 * f.s[0]:
             u = f.u
-            return math.sqrt(n * p) * u / frobenius_norm(u)
+            return math.sqrt(n * p) * u / float(np.linalg.norm(u))
     raise RankDeficient("gaussian draw was rank deficient twice in a row")
 
 
@@ -147,9 +147,12 @@ def random_orthogonal(p: int, rng: Rng) -> np.ndarray:
 def sample_noise(n: int, sigma, rng: Rng) -> np.ndarray:
     """n rows drawn i.i.d. from N(0, sigma). Accepts any symmetric PSD sigma."""
     cov = as_matrix(sigma, "noise covariance")
-    p = cov.shape[0]
-    cov = as_covariance(cov, p)
-    z = rng.standard_normal((n, p))
+    return _sample_noise(n, as_covariance(cov, cov.shape[0]), rng)
+
+
+def _sample_noise(n: int, cov: np.ndarray, rng: Rng) -> np.ndarray:
+    """sample_noise() with a validated covariance."""
+    z = rng.standard_normal((n, cov.shape[0]))
     try:
         left = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -168,8 +171,8 @@ def generate_observations(instance: ProblemInstance, rng: Rng) -> Observations:
         raise ContractViolation(f"mixing matrix must be {p}x{p}, got {r.shape}")
     pi_star = as_permutation(instance.pi_star, n)
     cov = as_covariance(instance.sigma, p)
-    e1 = sample_noise(n, cov, rng)
-    e2 = sample_noise(n, cov, rng)
+    e1 = _sample_noise(n, cov, rng)
+    e2 = _sample_noise(n, cov, rng)
     y1 = x + e1
     y2 = x[pi_star] @ r + e2
     return Observations(y1=y1, y2=y2)
@@ -182,7 +185,7 @@ def normalize_condition(y1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y1_new = y1 @ v @ diag(1/s). Requires full column rank.
     """
     mat = as_matrix(y1, "normalize_condition input")
-    f = svd(mat)
+    f = _svd(mat)
     if f.s[-1] <= 1e-10 * f.s[0]:
         raise RankDeficient("cannot normalize a rank-deficient matrix")
     return f.u, f.v, f.s
@@ -195,4 +198,4 @@ def snr(x, sigma) -> float:
     trace = float(np.trace(cov))
     if trace <= 0.0:
         return float("inf")
-    return frobenius_norm(mat) ** 2 / (mat.shape[0] * trace)
+    return float(np.linalg.norm(mat)) ** 2 / (mat.shape[0] * trace)

@@ -12,25 +12,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateFit
-from .linalg import as_matrix, singular_values, svd
+from .linalg import _singular_values, _svd, as_matrix
 
 
-def _aligned_pair(y2, y1p) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Validate y1 and y2 as n x p matrices of one shape with n >= 2p."""
+    m1 = as_matrix(y1, "y1")
     m2 = as_matrix(y2, "y2")
-    m1 = as_matrix(y1p, "y1p")
-    if m2.shape != m1.shape:
-        raise ContractViolation(f"aligned pair shapes differ: {m2.shape} vs {m1.shape}")
-    n, p = m2.shape
+    if m1.shape != m2.shape:
+        raise ContractViolation(f"y1 and y2 shapes differ: {m1.shape} vs {m2.shape}")
+    n, p = m1.shape
     if n < 2 * p:
         raise ContractViolation(f"need n >= 2p, got n={n}, p={p}")
-    return m2, m1, n, p
+    return m1, m2, n, p
 
 
 def tls_objective(y2, y1p) -> float:
     """Sum of the p smallest squared singular values of [y2 | y1p]."""
-    m2, m1, _, p = _aligned_pair(y2, y1p)
-    s = singular_values(np.hstack((m2, m1)))
-    return float(np.sum(s[p:] ** 2))
+    m1, m2, _, _ = _observation_pair(y1p, y2)
+    return _objective(m2, m1)
+
+
+def _objective(m2: np.ndarray, m1p: np.ndarray) -> float:
+    """tls_objective() on a validated pair."""
+    s = _singular_values(np.hstack((m2, m1p)))
+    return float(np.sum(s[m2.shape[1]:] ** 2))
 
 
 @dataclass
@@ -52,13 +58,19 @@ def tls_fit(y2, y1p) -> TlsFit:
     formed. Raises DegenerateFit when x_hat is numerically rank deficient,
     which callers treat as a failed iterate.
     """
-    m2, m1, _, p = _aligned_pair(y2, y1p)
-    f = svd(np.hstack((m2, m1)))
+    m1, m2, _, _ = _observation_pair(y1p, y2)
+    return _fit(m2, m1)
+
+
+def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
+    """tls_fit() on a validated pair."""
+    p = m2.shape[1]
+    f = _svd(np.hstack((m2, m1p)))
     objective = float(np.sum(f.s[p:] ** 2))
     low_rank = (f.u[:, :p] * f.s[:p]) @ f.v[:, :p].T
     y2_hat = low_rank[:, :p]
     x_hat = low_rank[:, p:]
-    sv = singular_values(x_hat)
+    sv = _singular_values(x_hat)
     if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise DegenerateFit("denoised design is numerically rank deficient")
     r_hat, *_ = np.linalg.lstsq(x_hat, y2_hat, rcond=None)

@@ -141,6 +141,19 @@ class TestEstimate:
         assert run("estimate", "--y1", y1, "--y2", y2,
                    "--estimator", "aloa") == 2
 
+    def test_overflowing_input_is_numerical_failure(self, tmp_path):
+        inst = tmp_path / "inst"
+        assert run("gen", "--n", 6, "--sigma", 0.1, "--seed", 5, "--out", inst) == 0
+        for name in ("y1.csv", "y2.csv"):
+            write_matrix(tmp_path / name, read_matrix(inst / name) * 1e200)
+        for estimator in (("alta", "--cost", "c1"), ("alta", "--cost", "c2"),
+                          ("alta", "--cost", "c3"), ("alta", "--cost", "c4"),
+                          ("aloa",), ("brute",)):
+            with np.errstate(all="ignore"):
+                code = run("estimate", "--y1", tmp_path / "y1.csv",
+                           "--y2", tmp_path / "y2.csv", "--estimator", *estimator)
+            assert code == 2, estimator
+
 
 class TestSweep:
     ARGS = ("sweep", "--sweep", "noise", "--grid", "0.05,0.3", "--n", 12,
@@ -219,7 +232,7 @@ class TestSweep:
         capsys.readouterr()
         assert records_without_timing(a) == records_without_timing(b)
 
-    def test_usage_errors_exit_one(self, tmp_path):
+    def test_usage_errors_exit_one(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run("sweep", "--sweep", "frequency", "--grid", "1",
                    "--out", out) == 1
@@ -231,6 +244,27 @@ class TestSweep:
                    "--estimator", "brute", "--out", out) == 1
         assert run("sweep", "--sweep", "noise", "--grid", "0.1",
                    "--trials", 0, "--out", out) == 1
+        # permutation specs, for the sweep, estimate and gen commands
+        inst = tmp_path / "inst"
+        assert run("gen", "--n", 6, "--seed", 1, "--out", inst) == 0
+        capsys.readouterr()
+        spec_errors = [
+            (("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv",
+              "--init", "truth"), "--init truth needs a known true permutation"),
+            (("estimate", "--n", 12, "--init", "partial=99"),
+             "partial shuffle size 99 exceeds n=12"),
+            (("sweep", "--sweep", "noise", "--grid", "0.1", "--n", 12,
+              "--init", "partial=99", "--out", out), "partial shuffle size 99 exceeds n=12"),
+            (("gen", "--perm", "partial=-1", "--out", inst),
+             "partial shuffle size must be nonnegative"),
+            (("estimate", "--init", "bogus"), "unknown init spec 'bogus'"),
+            (("sweep", "--sweep", "shuffle", "--grid", "0.5", "--init", "bogus",
+              "--out", out), "unknown init spec 'bogus'"),
+            (("estimate", "--init", "partial=x"), "bad init spec 'partial=x'"),
+        ]
+        for argv, message in spec_errors:
+            assert run(*argv) == 1, argv
+            assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 class TestBound:

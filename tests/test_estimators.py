@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from tlsperm.errors import ContractViolation, RankDeficient
+from tlsperm.errors import ContractViolation, NumericalFailure, RankDeficient
 from tlsperm.estimators import (
     COST_KINDS,
     alta,
@@ -321,3 +321,24 @@ class TestAloa:
         y2 = stream(96).standard_normal((6, 2))
         with pytest.raises(RankDeficient):
             aloa(np.zeros((6, 2)), y2)
+
+
+class TestOverflow:
+    """Inputs so large that squares overflow are a numerical failure of the
+    data, not a caller error: at a common scale of 1e154 the cost matrix
+    overflows, at 1e200 the rank-p objective does too."""
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200])
+    @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa"])
+    def test_iterative_estimators_raise_numerical_failure(self, estimator, scale):
+        _, _, y1, y2 = noisy_instance(12, sigma=0.1, seed=97)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+            if estimator == "aloa":
+                aloa(y1 * scale, y2 * scale)
+            else:
+                alta(y1 * scale, y2 * scale, kind=estimator)
+
+    def test_brute_force_raises_numerical_failure(self):
+        _, _, y1, y2 = noisy_instance(7, sigma=0.1, seed=97)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+            brute_force_tls(y1 * 1e200, y2 * 1e200)
