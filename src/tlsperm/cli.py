@@ -23,6 +23,9 @@ import numpy as np
 from .errors import ContractViolation, NumericalFailure
 from .estimators import COST_KINDS, EstimateResult, alta, aloa, brute_force_tls
 from .evaluation import (
+    _hamming_distance,
+    _procrustes_loss,
+    _quadratic_loss,
     eig_tail_rhs,
     hamming_distance,
     procrustes_loss,
@@ -251,7 +254,8 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[TrialReco
             failed = result.failure or ""
         except NumericalFailure as exc:
             perm = init
-            objective = tls_objective(obs.y2, obs.y1[init])
+            with np.errstate(over="ignore", invalid="ignore"):
+                objective = tls_objective(obs.y2, obs.y1[init])
             iterations = 0
             converged = False
             failed = exc.__class__.__name__.lower()
@@ -262,9 +266,9 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[TrialReco
             grid_value=float(cfg.grid[gi]),
             estimator=label,
             trial=ti,
-            procrustes=procrustes_loss(x, pi_star, perm),
-            quadratic=quadratic_loss(x, pi_star, perm),
-            hamming=hamming_distance(pi_star, perm),
+            procrustes=_procrustes_loss(x, pi_star, perm),
+            quadratic=_quadratic_loss(x, pi_star, perm),
+            hamming=_hamming_distance(pi_star, perm),
             objective=objective,
             iterations=iterations,
             converged=converged,

@@ -13,7 +13,8 @@ fit step, a cost step and how an assignment composes with the current
 permutation. The engine keeps every visited iterate and returns the best one
 by the scheme's selection metric, not the last, because the alternation may
 wander. A non-finite objective or cost matrix (inputs so large that squares
-overflow) raises NumericalFailure.
+overflow) raises NumericalFailure; numpy's overflow warnings are silenced on
+the way, since the failure itself reports them.
 
 Inputs are validated once, by the public functions. The engine and the
 private kernels (``_cost``, ``tls._fit``, ``tls._objective``) take arrays that
@@ -28,6 +29,7 @@ their assignment is already the new permutation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,13 +81,14 @@ def brute_force_tls(y1, y2, limit: int = BRUTE_FORCE_LIMIT) -> EstimateResult:
     best_obj = np.inf
     best_perm = identity_permutation(n)
     count = 0
-    for tup in itertools.permutations(range(n)):
-        perm = np.array(tup, dtype=np.intp)
-        obj = tls_objective(m2, m1[perm])
-        count += 1
-        if obj < best_obj:
-            best_obj = obj
-            best_perm = perm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tup in itertools.permutations(range(n)):
+            perm = np.array(tup, dtype=np.intp)
+            obj = tls_objective(m2, m1[perm])
+            count += 1
+            if obj < best_obj:
+                best_obj = obj
+                best_perm = perm
     if not np.isfinite(best_obj):
         raise NumericalFailure("rank-p residual is not finite at any alignment")
     return EstimateResult(
@@ -162,35 +165,37 @@ def _alternate(pi, fit, cost, compose, max_iter: int,
     less than tol (relative), when an assignment revisits a permutation, after
     max_iter fits, or on a degenerate fit, which sets the failure marker.
     """
-    visited = {tuple(pi)}
+    visited = {pi.tobytes()}
     perms: list[np.ndarray] = []
     scores: list[float] = []
     objectives: list[float] = []
     converged = False
     failure = None
-    for it in range(max_iter):
-        perms.append(pi)
-        score, objective, model = fit(pi)
-        if not (np.isfinite(score) and np.isfinite(objective)):
-            raise NumericalFailure("objective is not finite; the inputs may overflow")
-        scores.append(score)
-        objectives.append(objective)
-        if model is None:
-            failure = "degenerate_fit"
-            break
-        if it > 0 and scores[-2] - scores[-1] < tol * (1.0 + abs(scores[-2])):
-            converged = True
-            break
-        c = cost(model)
-        if not np.all(np.isfinite(c)):
-            raise NumericalFailure("cost matrix is not finite; the inputs may overflow")
-        assignment, _ = solve_lap(c)
-        pi_next = compose(pi, assignment)
-        if tuple(pi_next) in visited:
-            converged = True
-            break
-        visited.add(tuple(pi_next))
-        pi = pi_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iter):
+            perms.append(pi)
+            score, objective, model = fit(pi)
+            if not (math.isfinite(score) and math.isfinite(objective)):
+                raise NumericalFailure("objective is not finite; the inputs may overflow")
+            scores.append(score)
+            objectives.append(objective)
+            if model is None:
+                failure = "degenerate_fit"
+                break
+            if it > 0 and scores[-2] - scores[-1] < tol * (1.0 + abs(scores[-2])):
+                converged = True
+                break
+            c = cost(model)
+            if not np.isfinite(c).all():
+                raise NumericalFailure("cost matrix is not finite; the inputs may overflow")
+            assignment, _ = solve_lap(c)
+            pi_next = compose(pi, assignment)
+            key = pi_next.tobytes()
+            if key in visited:
+                converged = True
+                break
+            visited.add(key)
+            pi = pi_next
     result = EstimateResult(perm=perms[int(np.argmin(scores))], iterations=len(scores),
                             objective_trace=objectives, converged=converged, failure=failure)
     return result, scores

@@ -21,23 +21,39 @@ from .linalg import (
     singular_values,
     sym_eigvals,
 )
-from .model import Rng, as_covariance, as_permutation, random_orthogonal, snr, stream
+from .model import (
+    Rng,
+    _check_covariance,
+    as_covariance,
+    as_permutation,
+    random_orthogonal,
+    snr,
+    stream,
+)
 from .tls import tls_objective
 
 
 def hamming_distance(pi_a, pi_b) -> int:
     """Number of positions where the two permutations disagree."""
     a = as_permutation(pi_a)
-    b = as_permutation(pi_b, a.size)
+    return _hamming_distance(a, as_permutation(pi_b, a.size))
+
+
+def _hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
+    """hamming_distance() on validated permutations of one length."""
     return int(np.count_nonzero(a != b))
 
 
 def quadratic_loss(x, pi_star, pi_hat) -> float:
     """Mean squared row displacement (1/np) ||x[pi_hat] - x[pi_star]||_F^2."""
     mat = as_matrix(x, "design")
+    n = mat.shape[0]
+    return _quadratic_loss(mat, as_permutation(pi_star, n), as_permutation(pi_hat, n))
+
+
+def _quadratic_loss(mat: np.ndarray, star: np.ndarray, hat: np.ndarray) -> float:
+    """quadratic_loss() on a validated design and permutations of its rows."""
     n, p = mat.shape
-    star = as_permutation(pi_star, n)
-    hat = as_permutation(pi_hat, n)
     diff = mat[hat] - mat[star]
     return float(np.sum(diff * diff)) / (n * p)
 
@@ -50,9 +66,12 @@ def procrustes_loss(x, pi_star, pi_hat) -> float:
     if the permutations differ.
     """
     mat = as_matrix(x, "design")
-    n, _ = mat.shape
-    star = as_permutation(pi_star, n)
-    hat = as_permutation(pi_hat, n)
+    n = mat.shape[0]
+    return _procrustes_loss(mat, as_permutation(pi_star, n), as_permutation(pi_hat, n))
+
+
+def _procrustes_loss(mat: np.ndarray, star: np.ndarray, hat: np.ndarray) -> float:
+    """procrustes_loss() on a validated design and permutations of its rows."""
     denom = float(np.linalg.norm(mat)) ** 2
     if denom <= 0.0:
         raise ContractViolation("design must be nonzero")
@@ -137,7 +156,7 @@ def eig_tail_rhs(sigma, n: int, eps: float, c: float = 1.0 / 32.0) -> float:
     """
     cov = as_matrix(sigma, "covariance")
     p = cov.shape[0]
-    cov = as_covariance(cov, p)
+    cov = _check_covariance(cov, p)
     if n < 1:
         raise ContractViolation("n must be >= 1")
     if not 0.0 < eps <= 4.0 * n:

@@ -44,18 +44,21 @@ def svd(a) -> SvdResult:
 
 
 def _svd(arr: np.ndarray) -> SvdResult:
-    """svd() on an array that is already a validated matrix."""
+    """svd() on an array that is already a validated matrix.
+
+    The sign rule is applied to all columns at once: the pivot of column k is
+    argmax |u[:, k]|, the first index among equal magnitudes, and columns
+    whose pivot entry is negative are multiplied by -1 (exact, so the factors
+    equal a column-by-column negation bit for bit). A pivot entry is never
+    zero, as the columns of u have unit norm.
+    """
     try:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
-    v = vt.T
-    for k in range(s.shape[0]):
-        pivot = int(np.argmax(np.abs(u[:, k])))
-        if u[pivot, k] < 0:
-            u[:, k] = -u[:, k]
-            v[:, k] = -v[:, k]
-    return SvdResult(u=u, s=s, v=v)
+    pivots = np.abs(u).argmax(axis=0)
+    signs = np.copysign(1.0, u[pivots, np.arange(s.shape[0])])
+    return SvdResult(u=u * signs, s=s, v=vt.T * signs)
 
 
 def singular_values(a) -> np.ndarray:

@@ -106,7 +106,11 @@ def as_covariance(sigma, p: int) -> np.ndarray:
         if s < 0:
             raise ContractViolation("scalar noise level must be nonnegative")
         return (s * s) * np.eye(p)
-    cov = as_matrix(sigma, "covariance")
+    return _check_covariance(as_matrix(sigma, "covariance"), p)
+
+
+def _check_covariance(cov: np.ndarray, p: int) -> np.ndarray:
+    """Check a validated matrix for shape p x p, symmetry and PSD; return it."""
     if cov.shape != (p, p):
         raise ContractViolation(f"covariance must be {p}x{p}, got {cov.shape}")
     if np.linalg.norm(cov - cov.T) > 1e-12 * (1.0 + np.linalg.norm(cov)):
@@ -147,7 +151,7 @@ def random_orthogonal(p: int, rng: Rng) -> np.ndarray:
 def sample_noise(n: int, sigma, rng: Rng) -> np.ndarray:
     """n rows drawn i.i.d. from N(0, sigma). Accepts any symmetric PSD sigma."""
     cov = as_matrix(sigma, "noise covariance")
-    return _sample_noise(n, as_covariance(cov, cov.shape[0]), rng)
+    return _sample_noise(n, _check_covariance(cov, cov.shape[0]), rng)
 
 
 def _sample_noise(n: int, cov: np.ndarray, rng: Rng) -> np.ndarray:

@@ -35,7 +35,7 @@ def tls_objective(y2, y1p) -> float:
 
 def _objective(m2: np.ndarray, m1p: np.ndarray) -> float:
     """tls_objective() on a validated pair."""
-    s = _singular_values(np.hstack((m2, m1p)))
+    s = _singular_values(np.concatenate((m2, m1p), axis=1))
     return float(np.sum(s[m2.shape[1]:] ** 2))
 
 
@@ -54,24 +54,29 @@ def tls_fit(y2, y1p) -> TlsFit:
 
     The rank-p truncation of [y2 | y1p] splits by columns into a denoised y2
     block and a denoised y1p block (x_hat). r_hat solves the exactly
-    consistent system x_hat @ r = denoised y2 by least squares; no inverse is
-    formed. Raises DegenerateFit when x_hat is numerically rank deficient,
-    which callers treat as a failed iterate.
+    consistent system x_hat @ r = denoised y2; no inverse is formed. Raises
+    DegenerateFit when x_hat is numerically rank deficient, which callers
+    treat as a failed iterate.
     """
     m1, m2, _, _ = _observation_pair(y1p, y2)
     return _fit(m2, m1)
 
 
 def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
-    """tls_fit() on a validated pair."""
+    """tls_fit() on a validated pair, from one SVD.
+
+    With [y2 | y1p] = U S V.T, A = V[:p, :p] and B = V[p:, :p], the rank-p
+    truncation has blocks y2_hat = U_p S_p A.T and x_hat = U_p S_p B.T. As U_p
+    has orthonormal columns, x_hat has the singular values of the p x p
+    matrix S_p B.T, and x_hat @ r = y2_hat reduces to B.T @ r = A.T.
+    """
     p = m2.shape[1]
-    f = _svd(np.hstack((m2, m1p)))
+    f = _svd(np.concatenate((m2, m1p), axis=1))
     objective = float(np.sum(f.s[p:] ** 2))
-    low_rank = (f.u[:, :p] * f.s[:p]) @ f.v[:, :p].T
-    y2_hat = low_rank[:, :p]
-    x_hat = low_rank[:, p:]
-    sv = _singular_values(x_hat)
+    a, b = f.v[:p, :p], f.v[p:, :p]
+    x_hat = (f.u[:, :p] * f.s[:p]) @ b.T
+    sv = _singular_values(f.s[:p, None] * b.T)
     if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise DegenerateFit("denoised design is numerically rank deficient")
-    r_hat, *_ = np.linalg.lstsq(x_hat, y2_hat, rcond=None)
+    r_hat = np.linalg.solve(b.T, a.T)
     return TlsFit(x_hat=x_hat, r_hat=r_hat, objective=objective)

@@ -3,6 +3,7 @@ their exit-code contract, and sweeps rerun byte-identically once the timing
 column is stripped."""
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,18 +142,25 @@ class TestEstimate:
         assert run("estimate", "--y1", y1, "--y2", y2,
                    "--estimator", "aloa") == 2
 
-    def test_overflowing_input_is_numerical_failure(self, tmp_path):
+    def test_overflowing_input_is_numerical_failure(self, tmp_path, capfd):
+        """Exit 2, and the failure line is all that reaches stderr: no raw
+        numpy RuntimeWarning, with its source paths, ahead of it."""
         inst = tmp_path / "inst"
         assert run("gen", "--n", 6, "--sigma", 0.1, "--seed", 5, "--out", inst) == 0
         for name in ("y1.csv", "y2.csv"):
             write_matrix(tmp_path / name, read_matrix(inst / name) * 1e200)
+        capfd.readouterr()
         for estimator in (("alta", "--cost", "c1"), ("alta", "--cost", "c2"),
                           ("alta", "--cost", "c3"), ("alta", "--cost", "c4"),
                           ("aloa",), ("brute",)):
-            with np.errstate(all="ignore"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = run("estimate", "--y1", tmp_path / "y1.csv",
                            "--y2", tmp_path / "y2.csv", "--estimator", *estimator)
+            err = capfd.readouterr().err
             assert code == 2, estimator
+            assert [str(w.message) for w in caught] == [], estimator
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
 
 
 class TestSweep:

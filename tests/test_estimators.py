@@ -5,11 +5,14 @@ noiseless instances, and the iterative schemes' selection guarantees."""
 from __future__ import annotations
 
 import itertools
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from tlsperm import estimators, linalg, model
 from tlsperm.errors import ContractViolation, NumericalFailure, RankDeficient
 from tlsperm.estimators import (
     COST_KINDS,
@@ -342,3 +345,51 @@ class TestOverflow:
         _, _, y1, y2 = noisy_instance(7, sigma=0.1, seed=97)
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
             brute_force_tls(y1 * 1e200, y2 * 1e200)
+
+
+class TestValidationAtBoundary:
+    """alta and aloa validate their inputs once: the number of as_matrix and
+    as_permutation calls must not grow with the iteration count. The one
+    exception is solve_lap, a public function that validates each cost matrix
+    it is given, so its calls are counted apart and must equal the number of
+    assignments solved."""
+
+    @staticmethod
+    def count_validation(monkeypatch) -> tuple[Counter, list]:
+        calls: Counter = Counter()
+        laps: list = []
+        for name, original in (("as_matrix", linalg.as_matrix),
+                               ("as_permutation", model.as_permutation)):
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "tlsperm" and getattr(mod, name, None) is original:
+                    def counted(*args, _key=(mod_name, name), _f=original, **kwargs):
+                        calls[_key] += 1
+                        return _f(*args, **kwargs)
+                    monkeypatch.setattr(mod, name, counted)
+        solve = estimators.solve_lap
+
+        def counted_lap(cost):
+            laps.append(cost.shape)
+            return solve(cost)
+        monkeypatch.setattr(estimators, "solve_lap", counted_lap)
+        return calls, laps
+
+    @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa"])
+    def test_call_count_does_not_grow_with_iterations(self, monkeypatch, estimator):
+        _, _, y1, y2 = noisy_instance(20, sigma=0.1, seed=4)
+        init = random_permutation(20, stream(4, 1))
+        counts = []
+        for max_iter in (1, 50):
+            calls, laps = self.count_validation(monkeypatch)
+            if estimator == "aloa":
+                res = aloa(y1, y2, init=init, max_iter=max_iter)
+            else:
+                res = alta(y1, y2, kind=estimator, init=init, max_iter=max_iter)
+            monkeypatch.undo()
+            lap_calls = calls.pop(("tlsperm.lap", "as_matrix"), 0)
+            assert lap_calls == len(laps)
+            counts.append((res.iterations, calls))
+        (short_iters, short), (long_iters, long) = counts
+        assert short_iters == 1 and long_iters >= 4
+        assert sum(short.values()) > 0
+        assert long == short

@@ -9,6 +9,7 @@ import pytest
 
 from tlsperm.errors import ContractViolation
 from tlsperm.linalg import (
+    _svd,
     as_matrix,
     condition_number,
     frobenius_norm,
@@ -87,6 +88,55 @@ class TestSvd:
     def test_singular_values_match_full_factorization(self):
         a = stream(14).standard_normal((8, 3))
         assert singular_values(a) == pytest.approx(svd(a).s, abs=1e-12)
+
+
+def loop_sign_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
+    """Reference sign rule, one column at a time: flip column k of u and v
+    when the first largest-magnitude entry of u[:, k] is negative."""
+    u, v = u.copy(), vt.T.copy()
+    for k in range(s.shape[0]):
+        pivot = int(np.argmax(np.abs(u[:, k])))
+        if u[pivot, k] < 0:
+            u[:, k] = -u[:, k]
+            v[:, k] = -v[:, k]
+    return u, s, v
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSvdSignRule:
+    """The vectorised sign rule in _svd must give the factors of the
+    column-by-column rule bit for bit: generate_design, the Procrustes metric
+    and the fit all depend on it, and with them byte-identical sweeps."""
+
+    @pytest.mark.parametrize("shape", [(7, 3), (60, 4), (4, 60), (5, 5), (300, 2), (1, 1)])
+    def test_matches_column_loop_bitwise(self, shape):
+        for seed in range(5):
+            a = stream(15, seed, *shape).standard_normal(shape)
+            f = _svd(a)
+            u, s, v = loop_sign_svd(*np.linalg.svd(a, full_matrices=False))
+            assert same_bits(f.u, u) and same_bits(f.s, s) and same_bits(f.v, v)
+
+    @pytest.mark.parametrize("u", [
+        [[-0.5, 0.0], [0.5, 0.0], [0.0, 1.0]],   # -[1, -1, 0]: flipped
+        [[0.5, 0.0], [-0.5, 0.0], [0.0, -1.0]],  # [1, -1, 0]: kept
+        [[-0.5, 0.5], [-0.5, -0.5], [0.0, 0.0]],
+        [[0.0, -1.0], [-1.0, 0.0], [0.0, 0.0]],
+    ])
+    def test_exact_magnitude_ties_pick_first_index(self, monkeypatch, u):
+        """LAPACK rarely returns exact ties, so the raw factors are planted."""
+        u = np.array(u)
+        s = np.array([2.0, 1.0])
+        vt = np.array([[0.6, -0.8], [-0.8, -0.6]])
+        monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: (u.copy(), s, vt.copy()))
+        f = _svd(np.zeros((3, 2)))
+        ref_u, _, ref_v = loop_sign_svd(u, s, vt)
+        assert same_bits(f.u, ref_u) and same_bits(f.v, ref_v)
+        for k in range(2):
+            mags = np.abs(f.u[:, k])
+            assert f.u[int(np.flatnonzero(mags == mags.max())[0]), k] > 0
 
 
 class TestSymEigvals:

@@ -167,6 +167,17 @@ class TestCovarianceAndNoise:
         with pytest.raises(ContractViolation):
             as_covariance(-0.1, 2)
 
+    @pytest.mark.parametrize("sigma, message", [
+        (np.ones((2, 3)), "covariance must be 2x2, got (2, 3)"),
+        (np.ones(2), "noise covariance must be a nonempty 2-D array, got shape (2,)"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "covariance must be symmetric"),
+        (np.array([[1.0, 0.0], [0.0, -0.1]]), "covariance must be positive semidefinite"),
+    ])
+    def test_sample_noise_error_messages(self, sigma, message):
+        with pytest.raises(ContractViolation) as exc:
+            sample_noise(5, sigma, stream(9))
+        assert str(exc.value) == message
+
     def test_zero_covariance_gives_zero_noise(self):
         e = sample_noise(50, np.zeros((2, 2)), stream(10))
         assert np.all(e == 0.0)

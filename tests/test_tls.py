@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tlsperm.errors import ContractViolation, DegenerateFit
-from tlsperm.linalg import singular_values, sym_eigvals
+from tlsperm.linalg import singular_values, svd, sym_eigvals
 from tlsperm.model import (
     apply_permutation,
     generate_design,
@@ -140,3 +140,25 @@ class TestFit:
         y2 = x @ r + 0.05 * rng.standard_normal((200, 2))
         fit = tls_fit(y2, y1)
         assert np.linalg.norm(fit.r_hat - r) <= 0.05
+
+    @pytest.mark.parametrize("n", [8, 60, 300])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_two_factorization_route(self, n, p):
+        """The one-SVD fit against the route it replaces: truncate the SVD of
+        the stack, then re-factor x_hat for the rank check and solve for r_hat
+        by least squares. Objective and x_hat are bitwise equal."""
+        for seed in range(6):
+            rng = stream(41, n, p, seed)
+            y2 = rng.standard_normal((n, p))
+            y1 = rng.standard_normal((n, p))
+            f = svd(np.hstack((y2, y1)))
+            objective = float(np.sum(f.s[p:] ** 2))
+            low_rank = (f.u[:, :p] * f.s[:p]) @ f.v[:, :p].T
+            x_hat = low_rank[:, p:]
+            sv = singular_values(x_hat)
+            assert sv[-1] > 1e-10 * sv[0]
+            r_hat, *_ = np.linalg.lstsq(x_hat, low_rank[:, :p], rcond=None)
+            fit = tls_fit(y2, y1)
+            assert fit.objective == objective
+            assert np.array_equal(fit.x_hat, x_hat)
+            assert np.linalg.norm(fit.r_hat - r_hat) <= 1e-10 * np.linalg.norm(r_hat)
