@@ -8,6 +8,9 @@ Sweeps are deterministic: every trial owns a counter-based stream keyed by
 writing, and all numbers are formatted locale-independently, so a rerun with
 the same arguments reproduces the CSV byte for byte. The wall_ms timing
 column is last so determinism checks can strip it.
+
+Every output table is a list of dicts keyed by column name in column order;
+write_table takes the header from the first row's keys.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, NumericalFailure
-from .estimators import COST_KINDS, EstimateResult, alta, aloa, brute_force_tls
+from .estimators import BRUTE_FORCE_LIMIT, COST_KINDS, EstimateResult, alta, aloa, brute_force_tls
 from .evaluation import (
     _hamming_distance,
     _procrustes_loss,
@@ -34,7 +37,7 @@ from .evaluation import (
     recovery_bound,
     trace_max_check,
 )
-from .matio import format_float, read_matrix, write_matrix, write_permutation
+from .matio import format_float, read_matrix, read_permutation, write_matrix, write_permutation
 from .model import (
     ProblemInstance,
     as_covariance,
@@ -54,15 +57,6 @@ RECORDS_SCHEMA = "# schema: tlsperm-sweep-v1"
 SUMMARY_SCHEMA = "# schema: tlsperm-summary-v1"
 BOUND_SCHEMA = "# schema: tlsperm-bound-v1"
 LEMMA_SCHEMA = "# schema: tlsperm-lemma-v1"
-
-RECORD_COLUMNS = (
-    "axis,grid_index,grid_value,estimator,trial,procrustes_loss,quadratic_loss,"
-    "hamming,objective,iterations,converged,failed,wall_ms"
-)
-SUMMARY_COLUMNS = (
-    "axis,grid_index,grid_value,estimator,trials,failures,mean_procrustes,"
-    "q25_procrustes,median_procrustes,q75_procrustes,mean_quadratic,mean_hamming"
-)
 
 
 @dataclass
@@ -88,23 +82,6 @@ class ExperimentConfig:
     init: str = "truth"
     fresh_design: bool = True
     workers: int = 1
-
-
-@dataclass
-class TrialRecord:
-    axis: str
-    grid_index: int
-    grid_value: float
-    estimator: str
-    trial: int
-    procrustes: float
-    quadratic: float
-    hamming: int
-    objective: float
-    iterations: int
-    converged: bool
-    failed: str
-    wall_ms: float
 
 
 def parse_estimators(text: str, default_cost: str = "c3") -> list[str]:
@@ -197,8 +174,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 raise ContractViolation("shuffle fractions must lie in [0, 1]")
     if "brute" in cfg.estimators:
         worst = max(int(g) for g in cfg.grid) if cfg.axis in ("n", "snr") else cfg.n
-        if worst > 9:
-            raise ContractViolation("brute estimator needs n <= 9 at every grid point")
+        if worst > BRUTE_FORCE_LIMIT:
+            raise ContractViolation(
+                f"brute estimator needs n <= {BRUTE_FORCE_LIMIT} at every grid point")
 
 
 def _point_params(cfg: ExperimentConfig, gi: int) -> tuple[int, np.ndarray, int | None]:
@@ -225,7 +203,7 @@ def _run_estimator(label: str, y1, y2, init) -> EstimateResult:
     return brute_force_tls(y1, y2)
 
 
-def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[TrialRecord]:
+def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[dict]:
     n, cov, shuffle_k = _point_params(cfg, gi)
     rng = stream(cfg.seed, gi, ti)
     if cfg.fresh_design:
@@ -260,59 +238,60 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[TrialReco
             converged = False
             failed = exc.__class__.__name__.lower()
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        records.append(TrialRecord(
-            axis=cfg.axis,
-            grid_index=gi,
-            grid_value=float(cfg.grid[gi]),
-            estimator=label,
-            trial=ti,
-            procrustes=_procrustes_loss(x, pi_star, perm),
-            quadratic=_quadratic_loss(x, pi_star, perm),
-            hamming=_hamming_distance(pi_star, perm),
-            objective=objective,
-            iterations=iterations,
-            converged=converged,
-            failed=failed,
-            wall_ms=wall_ms,
-        ))
+        records.append({
+            "axis": cfg.axis,
+            "grid_index": gi,
+            "grid_value": float(cfg.grid[gi]),
+            "estimator": label,
+            "trial": ti,
+            "procrustes_loss": _procrustes_loss(x, pi_star, perm),
+            "quadratic_loss": _quadratic_loss(x, pi_star, perm),
+            "hamming": _hamming_distance(pi_star, perm),
+            "objective": objective,
+            "iterations": iterations,
+            "converged": converged,
+            "failed": failed,
+            "wall_ms": f"{wall_ms:.3f}",
+        })
     return records
 
 
-def run_sweep(cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[dict]]:
-    """Execute the sweep and return (records, summary rows), both sorted."""
+def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+    """Execute the sweep and return (records, summary rows), both sorted.
+
+    Trials run on cfg.workers threads; map keeps their order, and an
+    interrupt cancels the trials that have not started.
+    """
     validate_config(cfg)
     tasks = [(gi, ti) for gi in range(len(cfg.grid)) for ti in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(lambda t: _run_single_trial(cfg, *t), tasks))
-    else:
-        chunks = [_run_single_trial(cfg, gi, ti) for gi, ti in tasks]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        chunks = list(pool.map(lambda t: _run_single_trial(cfg, *t), tasks))
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda rec: (rec.grid_index, rec.estimator, rec.trial))
+    records.sort(key=lambda rec: (rec["grid_index"], rec["estimator"], rec["trial"]))
     return records, summarize(records)
 
 
-def summarize(records: list[TrialRecord]) -> list[dict]:
+def summarize(records: list[dict]) -> list[dict]:
     """Per (grid point, estimator): mean and quartiles of the alignment loss."""
     rows = []
-    keys = sorted({(rec.grid_index, rec.estimator) for rec in records})
+    keys = sorted({(rec["grid_index"], rec["estimator"]) for rec in records})
     for gi, label in keys:
-        grp = [rec for rec in records if rec.grid_index == gi and rec.estimator == label]
-        losses = np.array([rec.procrustes for rec in grp])
+        grp = [rec for rec in records if rec["grid_index"] == gi and rec["estimator"] == label]
+        losses = np.array([rec["procrustes_loss"] for rec in grp])
         q25, q50, q75 = np.quantile(losses, [0.25, 0.5, 0.75])
         rows.append({
-            "axis": grp[0].axis,
+            "axis": grp[0]["axis"],
             "grid_index": gi,
-            "grid_value": grp[0].grid_value,
+            "grid_value": grp[0]["grid_value"],
             "estimator": label,
             "trials": len(grp),
-            "failures": sum(1 for rec in grp if rec.failed),
+            "failures": sum(1 for rec in grp if rec["failed"]),
             "mean_procrustes": float(losses.mean()),
             "q25_procrustes": float(q25),
             "median_procrustes": float(q50),
             "q75_procrustes": float(q75),
-            "mean_quadratic": float(np.mean([rec.quadratic for rec in grp])),
-            "mean_hamming": float(np.mean([rec.hamming for rec in grp])),
+            "mean_quadratic": float(np.mean([rec["quadratic_loss"] for rec in grp])),
+            "mean_hamming": float(np.mean([rec["hamming"] for rec in grp])),
         })
     return rows
 
@@ -325,12 +304,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_table(path, schema: str, columns: str, rows) -> None:
-    """Write a schema line, the column line, then one comma-joined line per
-    row of cells in column order: floats as format_float, bools as 1/0,
+def write_table(path, schema: str, rows: list[dict]) -> None:
+    """Write a schema line, the first row's keys as the column line, then one
+    comma-joined line of cells per row: floats as format_float, bools as 1/0,
     anything else through str."""
-    lines = [schema, columns]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
+    lines = [schema, ",".join(rows[0])]
+    lines += [",".join(_cell(v) for v in row.values()) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -422,8 +401,7 @@ def run_bound(n: int, p: int, sigma, theta: float, etas: list[float],
 
 
 def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
-                    p: int = 2, eps: float = 0.5,
-                    samples: int = 64) -> tuple[list[dict], int]:
+                    p: int = 2, eps: float = 0.5) -> tuple[list[dict], int]:
     """Randomized checks of the supporting inequalities.
 
     kinds: procrustes (alignment loss vs twice the rank-p residual), tracemax
@@ -446,7 +424,7 @@ def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
                 lhs, rhs = procrustes_residual_gap(x, perm)
                 bad = lhs > rhs + 1e-9
             else:
-                lhs, rhs = trace_max_check(x, perm, samples=samples, rng=rng)
+                lhs, rhs = trace_max_check(x, perm, samples=64, rng=rng)
                 bad = lhs > rhs + 1e-9 or lhs < rhs - max(0.02 * rhs, 1e-9)
             violations += int(bad)
             rows.append({"kind": kind, "trial": t, "n": nt, "p": pt,
@@ -505,10 +483,6 @@ def _grid_values(text: str) -> list[float]:
     if not vals:
         raise ContractViolation("grid must be nonempty")
     return vals
-
-
-def _bool_flag(text: str) -> bool:
-    return text == "true"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, n_default=6)
     sp.add_argument("--perm", type=str, default="random",
                     help="true permutation: identity, random, or partial=K")
-    sp.add_argument("--limit", type=int, default=9)
+    sp.add_argument("--limit", type=int, default=BRUTE_FORCE_LIMIT)
     sp.add_argument("--out", type=str, help="write the estimated permutation here")
     sp.set_defaults(func=_cmd_bruteforce)
 
@@ -612,19 +586,25 @@ def _cmd_gen(args) -> int:
     inst, obs = _generate_cli_instance(args, args.perm)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_matrix(outdir / "x.csv", inst.x)
-    write_matrix(outdir / "r.csv", inst.r)
-    write_matrix(outdir / "sigma.csv", inst.sigma)
-    write_matrix(outdir / "y1.csv", obs.y1)
-    write_matrix(outdir / "y2.csv", obs.y2)
-    write_permutation(outdir / "pi_star.txt", inst.pi_star)
-    for name in ("x.csv", "r.csv", "sigma.csv", "y1.csv", "y2.csv", "pi_star.txt"):
+    for name, value in (("x.csv", inst.x), ("r.csv", inst.r), ("sigma.csv", inst.sigma),
+                        ("y1.csv", obs.y1), ("y2.csv", obs.y2), ("pi_star.txt", inst.pi_star)):
+        write = write_permutation if name.endswith(".txt") else write_matrix
+        write(outdir / name, value)
         print(outdir / name)
     return 0
 
 
+def _report(x, pi_star, perm, out) -> None:
+    """Print perm's three losses when the truth is known; write perm to out if given."""
+    if x is not None and pi_star is not None:
+        print(f"procrustes_loss: {format_float(procrustes_loss(x, pi_star, perm))}")
+        print(f"quadratic_loss: {format_float(quadratic_loss(x, pi_star, perm))}")
+        print(f"hamming: {hamming_distance(pi_star, perm)}")
+    if out:
+        write_permutation(out, perm)
+
+
 def _cmd_estimate(args) -> int:
-    from .matio import read_permutation
     if (args.y1 is None) != (args.y2 is None):
         raise ContractViolation("--y1 and --y2 must be given together")
     if args.y1 is not None:
@@ -645,12 +625,7 @@ def _cmd_estimate(args) -> int:
     print(f"converged: {result.converged}")
     if result.failure:
         print(f"failure: {result.failure}")
-    if x is not None and pi_star is not None:
-        print(f"procrustes_loss: {format_float(procrustes_loss(x, pi_star, result.perm))}")
-        print(f"quadratic_loss: {format_float(quadratic_loss(x, pi_star, result.perm))}")
-        print(f"hamming: {hamming_distance(pi_star, result.perm)}")
-    if args.out:
-        write_permutation(args.out, result.perm)
+    _report(x, pi_star, result.perm, args.out)
     return 0
 
 
@@ -666,20 +641,15 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         estimators=parse_estimators(args.estimator, args.cost),
         init=args.init,
-        fresh_design=_bool_flag(args.fresh_design),
+        fresh_design=args.fresh_design == "true",
         workers=args.workers,
     )
     records, summary = run_sweep(cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_table(out, RECORDS_SCHEMA, RECORD_COLUMNS, [
-        (rec.axis, rec.grid_index, rec.grid_value, rec.estimator, rec.trial,
-         rec.procrustes, rec.quadratic, rec.hamming, rec.objective, rec.iterations,
-         rec.converged, rec.failed, f"{rec.wall_ms:.3f}")
-        for rec in records])
+    write_table(out, RECORDS_SCHEMA, records)
     summary_path = out.with_suffix(".summary.csv")
-    write_table(summary_path, SUMMARY_SCHEMA, SUMMARY_COLUMNS,
-                [row.values() for row in summary])
+    write_table(summary_path, SUMMARY_SCHEMA, summary)
     print(out)
     print(summary_path)
     if args.svg:
@@ -702,9 +672,7 @@ def _cmd_bound(args) -> int:
         print(f"eta={row['eta']:g} bound={row['bound']:.6g} a_n={row['a_n']:.6g} "
               f"snr={row['snr']:.6g} prob>={ps:.6g} (derivation {pd:.6g})")
     if args.out:
-        write_table(args.out, BOUND_SCHEMA,
-                    "n,p,eta,c,snr,a_n,bound,prob_statement,prob_derivation,noiseless",
-                    [row.values() for row in rows])
+        write_table(args.out, BOUND_SCHEMA, rows)
         print(args.out)
     return 0
 
@@ -718,11 +686,7 @@ def _cmd_bruteforce(args) -> int:
     print(f"objective_at_estimate: {format_float(result.best_objective)}")
     print(f"objective_at_truth: {format_float(obj_star)}")
     print(f"permutations_tried: {result.iterations}")
-    print(f"procrustes_loss: {format_float(procrustes_loss(inst.x, inst.pi_star, result.perm))}")
-    print(f"quadratic_loss: {format_float(quadratic_loss(inst.x, inst.pi_star, result.perm))}")
-    print(f"hamming: {hamming_distance(inst.pi_star, result.perm)}")
-    if args.out:
-        write_permutation(args.out, result.perm)
+    _report(inst.x, inst.pi_star, result.perm, args.out)
     return 0
 
 
@@ -730,8 +694,7 @@ def _cmd_lemma(args) -> int:
     rows, violations = run_lemma_suite(args.kind, args.trials, args.seed,
                                        n=args.n, p=args.p, eps=args.eps)
     if args.out:
-        write_table(args.out, LEMMA_SCHEMA, "kind,trial,n,p,lhs,rhs,violation",
-                    [row.values() for row in rows])
+        write_table(args.out, LEMMA_SCHEMA, rows)
         print(args.out)
     worst = max((row["lhs"] - row["rhs"] for row in rows), default=0.0)
     print(f"kind={args.kind} trials={args.trials} violations={violations} "

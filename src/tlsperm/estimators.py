@@ -50,23 +50,21 @@ BRUTE_FORCE_LIMIT = 9
 class EstimateResult:
     """Outcome of one estimator run.
 
-    perm is the best iterate found; objective_trace holds the rank-p residual
-    of every evaluated iterate in visit order (a single entry for brute
-    force). failure is None on clean runs, otherwise a short marker and the
-    best iterate seen before the failure. ols_residual_trace is filled by the
-    least-squares alternation, whose selection metric it is.
+    perm is the best iterate found and best_objective its rank-p residual;
+    objective_trace holds the rank-p residual of every evaluated iterate in
+    visit order (a single entry for brute force). failure is None on clean
+    runs, otherwise a short marker and the best iterate seen before the
+    failure. ols_residual_trace is filled by the least-squares alternation,
+    whose selection metric it is.
     """
 
     perm: np.ndarray
     iterations: int
     objective_trace: list[float]
+    best_objective: float
     converged: bool
     failure: str | None = None
     ols_residual_trace: list[float] | None = field(default=None)
-
-    @property
-    def best_objective(self) -> float:
-        return float(min(self.objective_trace))
 
 
 def brute_force_tls(y1, y2, limit: int = BRUTE_FORCE_LIMIT) -> EstimateResult:
@@ -95,6 +93,7 @@ def brute_force_tls(y1, y2, limit: int = BRUTE_FORCE_LIMIT) -> EstimateResult:
         perm=best_perm,
         iterations=count,
         objective_trace=[best_obj],
+        best_objective=best_obj,
         converged=True,
     )
 
@@ -196,8 +195,10 @@ def _alternate(pi, fit, cost, compose, max_iter: int,
                 break
             visited.add(key)
             pi = pi_next
-    result = EstimateResult(perm=perms[int(np.argmin(scores))], iterations=len(scores),
-                            objective_trace=objectives, converged=converged, failure=failure)
+    best = int(np.argmin(scores))
+    result = EstimateResult(perm=perms[best], iterations=len(scores),
+                            objective_trace=objectives, best_objective=objectives[best],
+                            converged=converged, failure=failure)
     return result, scores
 
 

@@ -179,9 +179,14 @@ class TestSweep:
         sa = a.with_suffix(".summary.csv").read_text()
         sb = b.with_suffix(".summary.csv").read_text()
         assert sa == sb
+        assert sa.splitlines()[1] == (
+            "axis,grid_index,grid_value,estimator,trials,failures,mean_procrustes,"
+            "q25_procrustes,median_procrustes,q75_procrustes,mean_quadratic,mean_hamming")
         lines = Path(a).read_text().splitlines()
         assert lines[0].startswith("# schema:")
-        assert lines[1].endswith(",wall_ms")
+        assert lines[1] == (
+            "axis,grid_index,grid_value,estimator,trial,procrustes_loss,quadratic_loss,"
+            "hamming,objective,iterations,converged,failed,wall_ms")
         assert len(lines) == 2 + 2 * 4 * 2
 
     def test_parallel_workers_match_serial(self, tmp_path, capsys):
@@ -282,6 +287,7 @@ class TestBound:
         assert "prob>=" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0] == "# schema: tlsperm-bound-v1"
+        assert lines[1] == "n,p,eta,c,snr,a_n,bound,prob_statement,prob_derivation,noiseless"
         row = lines[2].split(",")
         assert row[0] == "300" and row[1] == "2"
         assert float(row[6]) == pytest.approx(5.7204, rel=1e-3)
@@ -325,6 +331,7 @@ class TestLemmaCommand:
         assert "violations=0" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0] == "# schema: tlsperm-lemma-v1"
+        assert lines[1] == "kind,trial,n,p,lhs,rhs,violation"
         assert len(lines) == 2 + 25
         assert all(line.split(",")[6] == "0" for line in lines[2:])
 

@@ -320,6 +320,19 @@ class TestAloa:
         assert res.objective_trace[0] == pytest.approx(
             tls_objective(y2, y1), abs=1e-12)
 
+    def test_trace_starts_at_init_and_best_objective_is_at_perm(self):
+        # selection is by least-squares residual, so the reported objective
+        # must be the one at the selected iterate, not the trace minimum
+        rng = stream(85)
+        for case in range(20):
+            _, _, y1, y2 = noisy_instance(10, sigma=0.4, seed=850 + case)
+            start = random_permutation(10, rng)
+            res = aloa(y1, y2, init=start)
+            assert res.objective_trace[0] == pytest.approx(
+                tls_objective(y2, y1[start]), abs=1e-12)
+            assert res.best_objective == pytest.approx(
+                tls_objective(y2, y1[res.perm]), abs=1e-12)
+
     def test_rank_deficient_design_rejected(self):
         y2 = stream(96).standard_normal((6, 2))
         with pytest.raises(RankDeficient):
