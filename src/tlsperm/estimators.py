@@ -9,22 +9,19 @@ Three routes to a row alignment between y2 and y1:
 * a faster ordinary-least-squares alternation that ignores design noise.
 
 Both iterative schemes run on one engine, ``_alternate``, and supply only a
-fit step, a cost step and how an assignment composes with the current
-permutation. The engine keeps every visited iterate and returns the best one
-by the scheme's selection metric, not the last, because the alternation may
-wander. A non-finite objective or cost matrix (inputs so large that squares
-overflow) raises NumericalFailure; numpy's overflow warnings are silenced on
-the way, since the failure itself reports them.
+fit step and a cost step. The engine keeps every visited iterate and returns
+the best one by the scheme's selection metric, not the last, because the
+alternation may wander. A non-finite objective or cost matrix (inputs so
+large that squares overflow) raises NumericalFailure; numpy's overflow
+warnings are silenced on the way, since the failure itself reports them.
 
 Inputs are validated once, by the public functions. The engine and the
 private kernels (``_cost``, ``tls._fit``, ``tls._objective``) take arrays that
 are already validated.
 
-Cost-matrix orientation: after a fit at the current permutation, fitted row j
-is aligned with y2 row j and was built from y1 row pi_cur[j]. Costs c1 and c3
-compare y2 rows against fitted rows, so their assignment ``a`` is composed as
-``pi_new[i] = pi_cur[a[i]]``. Costs c2 and c4 compare against raw y1 rows, so
-their assignment is already the new permutation.
+Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
+and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so
+an assignment ``a`` gives the next permutation ``pi[a]``.
 """
 from __future__ import annotations
 
@@ -98,20 +95,23 @@ def brute_force_tls(y1, y2, limit: int = BRUTE_FORCE_LIMIT) -> EstimateResult:
     )
 
 
-def build_cost(kind: str, fit: TlsFit, y1, y2) -> np.ndarray:
+def build_cost(kind: str, fit: TlsFit, y1p, y2) -> np.ndarray:
     """Assemble one of the four assignment cost matrices.
 
+    fit = tls_fit(y2, y1p) at the aligned y1p = y1[pi]. Row i indexes y2 row i
+    and column j aligned row j, so an assignment a gives the permutation pi[a].
+
     c1[i, j] = ||y2[i] - (x_hat @ r_hat)[j]||^2
-    c2[i, j] = ||x_hat[i] - y1[j]||^2
+    c2[i, j] = ||x_hat[i] - y1p[j]||^2
     c3 = c1 + c2
-    c4[i, j] = min over x of ||y2[i] - r_hat.T @ x||^2 + ||y1[j] - x||^2
+    c4[i, j] = min over x of ||y2[i] - r_hat.T @ x||^2 + ||y1p[j] - x||^2
 
     The c4 minimum has the closed form x = (r_hat r_hat.T + I)^{-1}
-    (r_hat y2[i] + y1[j]); the p x p system is factored once and the value is
+    (r_hat y2[i] + y1p[j]); the p x p system is factored once and the value is
     expanded so the whole matrix fills in O(n^2 p).
     """
     _check_kind(kind)
-    m1, m2, _, p = _observation_pair(y1, y2)
+    m1, m2, _, p = _observation_pair(y1p, y2)
     x_hat = as_matrix(fit.x_hat, "x_hat")
     r_hat = as_matrix(fit.r_hat, "r_hat")
     if x_hat.shape != m1.shape or r_hat.shape != (p, p):
@@ -153,16 +153,17 @@ def _start(y1, y2, init, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return m1, m2, pi
 
 
-def _alternate(pi, fit, cost, compose, max_iter: int,
+def _alternate(m1, pi, fit, cost, max_iter: int,
                tol: float) -> tuple[EstimateResult, list[float]]:
     """Alternate fit and assignment from pi; return the result and the trace
     of the selection metric.
 
-    fit(pi) gives (selection metric, rank-p objective, model), the model None
-    when the fit is degenerate; cost(model) gives the assignment cost and
-    compose(pi, a) the next permutation. Stops when the metric improves by
-    less than tol (relative), when an assignment revisits a permutation, after
-    max_iter fits, or on a degenerate fit, which sets the failure marker.
+    fit(y1p) gives (selection metric, rank-p objective, model) at the aligned
+    y1p = m1[pi], the model None when the fit is degenerate; cost(model, y1p)
+    gives the assignment cost, whose assignment a makes pi[a] the next
+    permutation. Stops when the metric improves by at most tol (relative),
+    when an assignment revisits a permutation, after max_iter fits, or on a
+    degenerate fit, which sets the failure marker.
     """
     visited = {pi.tobytes()}
     perms: list[np.ndarray] = []
@@ -173,7 +174,8 @@ def _alternate(pi, fit, cost, compose, max_iter: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(max_iter):
             perms.append(pi)
-            score, objective, model = fit(pi)
+            y1p = m1[pi]
+            score, objective, model = fit(y1p)
             if not (math.isfinite(score) and math.isfinite(objective)):
                 raise NumericalFailure("objective is not finite; the inputs may overflow")
             scores.append(score)
@@ -181,14 +183,14 @@ def _alternate(pi, fit, cost, compose, max_iter: int,
             if model is None:
                 failure = "degenerate_fit"
                 break
-            if it > 0 and scores[-2] - scores[-1] < tol * (1.0 + abs(scores[-2])):
+            if it > 0 and scores[-2] - scores[-1] <= tol * abs(scores[-2]):
                 converged = True
                 break
-            c = cost(model)
+            c = cost(model, y1p)
             if not np.isfinite(c).all():
                 raise NumericalFailure("cost matrix is not finite; the inputs may overflow")
             assignment, _ = solve_lap(c)
-            pi_next = compose(pi, assignment)
+            pi_next = pi[assignment]
             key = pi_next.tobytes()
             if key in visited:
                 converged = True
@@ -207,15 +209,14 @@ def alta(y1, y2, kind: str = "c3", init=None,
     """Alternate the rank-p fit with a linear assignment over cost `kind`.
 
     Stops on an exact revisit of an earlier permutation, on a consecutive
-    improvement below tol (relative), or after max_iter fits. Returns the
+    improvement of at most tol (relative), or after max_iter fits. Returns the
     iterate with the smallest recorded objective. A degenerate fit ends the
     run with a failure marker instead of raising.
     """
     _check_kind(kind)
     m1, m2, pi = _start(y1, y2, init, max_iter)
 
-    def fit(pi):
-        y1p = m1[pi]
+    def fit(y1p):
         try:
             f = _fit(m2, y1p)
         except DegenerateFit:
@@ -223,35 +224,33 @@ def alta(y1, y2, kind: str = "c3", init=None,
             return objective, objective, None
         return f.objective, f.objective, f
 
-    def cost(f: TlsFit) -> np.ndarray:
-        return _cost(kind, f.x_hat, f.r_hat, m1, m2)
+    def cost(f: TlsFit, y1p: np.ndarray) -> np.ndarray:
+        return _cost(kind, f.x_hat, f.r_hat, y1p, m2)
 
-    compose = (lambda pi, a: pi[a]) if kind in ("c1", "c3") else (lambda pi, a: a)
-    return _alternate(pi, fit, cost, compose, max_iter, tol)[0]
+    return _alternate(m1, pi, fit, cost, max_iter, tol)[0]
 
 
 def aloa(y1, y2, init=None, max_iter: int = 50, tol: float = 1e-10) -> EstimateResult:
     """Alternate an ordinary-least-squares fit with a linear assignment.
 
     Treats y1 as a noise-free design: r solves min ||y1[pi] r - y2||_F and the
-    assignment cost is ||y2[i] - (y1 r)[j]||^2. Selection and stopping use the
-    least-squares residual; the rank-p objective is recorded alongside for
-    comparison with the other estimators.
+    assignment cost is ||y2[i] - (y1[pi] r)[j]||^2. Selection and stopping
+    use the least-squares residual; the rank-p objective is recorded alongside
+    for comparison with the other estimators.
     """
     m1, m2, pi = _start(y1, y2, init, max_iter)
     sv = _singular_values(m1)
     if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise RankDeficient("y1 must have full column rank for the least-squares route")
 
-    def fit(pi):
-        y1p = m1[pi]
+    def fit(y1p):
         r_hat, *_ = np.linalg.lstsq(y1p, m2, rcond=None)
         residual = float(np.linalg.norm(y1p @ r_hat - m2) ** 2)
         return residual, _objective(m2, y1p), r_hat
 
-    def cost(r_hat: np.ndarray) -> np.ndarray:
-        return cdist(m2, m1 @ r_hat, "sqeuclidean")
+    def cost(r_hat: np.ndarray, y1p: np.ndarray) -> np.ndarray:
+        return cdist(m2, y1p @ r_hat, "sqeuclidean")
 
-    result, residuals = _alternate(pi, fit, cost, lambda pi, a: a, max_iter, tol)
+    result, residuals = _alternate(m1, pi, fit, cost, max_iter, tol)
     result.ols_residual_trace = residuals
     return result

@@ -1,7 +1,9 @@
 """Estimator behavior: exact enumeration against an independent second pass,
 cost-matrix entries against their definitions (including the closed-form
 minimum against a gradient-free minimizer), assignment composition pinned on
-noiseless instances, and the iterative schemes' selection guarantees."""
+noiseless instances, the iterative schemes' selection guarantees, and the
+model's symmetries (relabelling y1, permuting both rows jointly, a common
+scale) for every estimator."""
 from __future__ import annotations
 
 import itertools
@@ -10,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from tlsperm import estimators, linalg, model
@@ -28,6 +32,7 @@ from tlsperm.model import (
     generate_design,
     generate_observations,
     identity_permutation,
+    invert_permutation,
     random_permutation,
     rotation_2d,
     stream,
@@ -116,17 +121,16 @@ class TestBuildCost:
     def test_c1_diagonal_vanishes_on_perfect_fit(self):
         _, _, pi, y1, y2 = noiseless_instance(8, seed=73)
         fit = tls_fit(y2, y1[pi])
-        c1 = build_cost("c1", fit, y1, y2)
+        c1 = build_cost("c1", fit, y1[pi], y2)
         assert np.all(np.diag(c1) <= 1e-18)
 
     def test_c2_and_c4_vanish_at_true_pairing(self):
         _, _, pi, y1, y2 = noiseless_instance(8, seed=74)
         fit = tls_fit(y2, y1[pi])
-        c2 = build_cost("c2", fit, y1, y2)
-        c4 = build_cost("c4", fit, y1, y2)
-        rows = np.arange(8)
-        assert np.all(c2[rows, pi] <= 1e-18)
-        assert np.all(c4[rows, pi] <= 1e-12)
+        c2 = build_cost("c2", fit, y1[pi], y2)
+        c4 = build_cost("c4", fit, y1[pi], y2)
+        assert np.all(np.diag(c2) <= 1e-18)
+        assert np.all(np.diag(c4) <= 1e-12)
 
     def test_c3_is_entrywise_sum(self):
         _, _, y1, y2 = noisy_instance(10, sigma=0.2, seed=75)
@@ -186,29 +190,19 @@ class TestBuildCost:
 
 class TestAssignmentComposition:
     """One fit/assign step on a noiseless instance with a nontrivial true
-    permutation, where the correct next iterate is known. Pins how each cost
-    kind's assignment maps back onto a permutation of y1."""
+    permutation, where the correct next iterate is known. Every cost kind
+    scores y2 rows against the aligned rows y1[pi], so its assignment a maps
+    back onto a permutation of y1 as pi[a]."""
 
-    def test_c1_assignment_composes_through_current_iterate(self):
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_assignment_composes_through_current_iterate(self, kind):
         _, _, pi, y1, y2 = noiseless_instance(9, seed=79)
         fit = tls_fit(y2, y1[pi])
-        assignment, _ = solve_lap(build_cost("c1", fit, y1, y2))
-        # fitted rows reproduce y2 exactly, so the raw assignment is the
-        # identity and only the composed permutation stays at the truth
+        assignment, _ = solve_lap(build_cost(kind, fit, y1[pi], y2))
+        # the aligned pair is exact, so the assignment is the identity and
+        # the composed permutation stays at the truth
         assert np.array_equal(assignment, np.arange(9))
         assert np.array_equal(pi[assignment], pi)
-
-    def test_c2_assignment_is_direct(self):
-        _, _, pi, y1, y2 = noiseless_instance(9, seed=80)
-        fit = tls_fit(y2, y1[pi])
-        assignment, _ = solve_lap(build_cost("c2", fit, y1, y2))
-        assert np.array_equal(assignment, pi)
-
-    def test_c4_assignment_is_direct(self):
-        _, _, pi, y1, y2 = noiseless_instance(9, seed=81)
-        fit = tls_fit(y2, y1[pi])
-        assignment, _ = solve_lap(build_cost("c4", fit, y1, y2))
-        assert np.array_equal(assignment, pi)
 
 
 class TestAlta:
@@ -389,8 +383,8 @@ class TestValidationAtBoundary:
 
     @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa"])
     def test_call_count_does_not_grow_with_iterations(self, monkeypatch, estimator):
-        _, _, y1, y2 = noisy_instance(20, sigma=0.1, seed=4)
-        init = random_permutation(20, stream(4, 1))
+        _, _, y1, y2 = noisy_instance(40, sigma=0.1, seed=4)
+        init = random_permutation(40, stream(4, 1))
         counts = []
         for max_iter in (1, 50):
             calls, laps = self.count_validation(monkeypatch)
@@ -406,3 +400,63 @@ class TestValidationAtBoundary:
         assert short_iters == 1 and long_iters >= 4
         assert sum(short.values()) > 0
         assert long == short
+
+
+class TestSymmetries:
+    """The model's symmetries, for every estimator: n=20, sigma 0.2 and a
+    random start for the iterative schemes, n=6 for brute force. Relabelling
+    the rows of y1 hands every step the same aligned pair, so it holds
+    exactly; a joint row permutation and a common scale hold up to rounding."""
+
+    ESTIMATORS = [*COST_KINDS, "aloa", "brute"]
+
+    @staticmethod
+    def instance(estimator: str, seed: int):
+        n = 6 if estimator == "brute" else 20
+        _, _, y1, y2 = noisy_instance(n, sigma=0.2, seed=seed)
+        return y1, y2, random_permutation(n, stream(seed, 1))
+
+    @staticmethod
+    def solve(estimator: str, y1, y2, init):
+        if estimator == "brute":
+            return brute_force_tls(y1, y2)
+        if estimator == "aloa":
+            return aloa(y1, y2, init=init)
+        return alta(y1, y2, kind=estimator, init=init)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_relabelling_y1_relabels_the_estimate_exactly(self, estimator, seed):
+        y1, y2, init = self.instance(estimator, seed)
+        s = random_permutation(len(y1), stream(seed, 2))
+        inv = invert_permutation(s)
+        ref = self.solve(estimator, y1, y2, init)
+        res = self.solve(estimator, y1[s], y2, inv[init])
+        assert np.array_equal(res.perm, inv[ref.perm])
+        assert res.iterations == ref.iterations
+        assert res.objective_trace == ref.objective_trace
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_joint_row_permutation_permutes_the_estimate(self, estimator):
+        for seed in range(300, 310):
+            y1, y2, init = self.instance(estimator, seed)
+            t = random_permutation(len(y1), stream(seed, 3))
+            inv = invert_permutation(t)
+            ref = self.solve(estimator, y1, y2, init)
+            res = self.solve(estimator, y1[t], y2[t], inv[init[t]])
+            assert np.array_equal(res.perm, inv[ref.perm[t]])
+            assert res.iterations == ref.iterations
+            assert res.objective_trace == pytest.approx(ref.objective_trace, rel=1e-9)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_common_scale_leaves_the_estimate_unchanged(self, estimator):
+        for seed in range(400, 404):
+            y1, y2, init = self.instance(estimator, seed)
+            ref = self.solve(estimator, y1, y2, init)
+            for scale in (1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150):
+                res = self.solve(estimator, y1 * scale, y2 * scale, init)
+                assert np.array_equal(res.perm, ref.perm), scale
+                assert res.iterations == ref.iterations, scale
+                assert res.best_objective / scale**2 == pytest.approx(
+                    ref.best_objective, rel=1e-9), scale
