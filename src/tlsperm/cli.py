@@ -15,6 +15,7 @@ write_table takes the header from the first row's keys.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -433,6 +434,7 @@ def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
     if kind != "eigtail":
         raise ContractViolation(f"unknown suite kind {kind!r}")
     cov = as_covariance(1.0, p)
+    rhs = eig_tail_rhs(cov, n, eps)  # validates n and eps before any draw
     lam1 = 1.0
     threshold = 2.0 * n * lam1 * (1.0 + eps)
     exceed = 0
@@ -444,7 +446,6 @@ def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
         top2 = float(np.linalg.eigvalsh(e2.T @ e2)[-1])
         if top2 + top1 >= threshold:
             exceed += 1
-    rhs = eig_tail_rhs(cov, n, eps)
     freq = exceed / trials
     bad = freq > rhs
     violations = int(bad)
@@ -482,6 +483,8 @@ def _grid_values(text: str) -> list[float]:
         raise ContractViolation(f"bad grid {text!r}") from exc
     if not vals:
         raise ContractViolation("grid must be nonempty")
+    if not all(math.isfinite(v) for v in vals):
+        raise ContractViolation(f"bad grid {text!r}")
     return vals
 
 

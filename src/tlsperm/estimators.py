@@ -9,11 +9,12 @@ Three routes to a row alignment between y2 and y1:
 * a faster ordinary-least-squares alternation that ignores design noise.
 
 Both iterative schemes run on one engine, ``_alternate``, and supply only a
-fit step and a cost step. The engine keeps every visited iterate and returns
-the best one by the scheme's selection metric, not the last, because the
-alternation may wander. A non-finite objective or cost matrix (inputs so
-large that squares overflow) raises NumericalFailure; numpy's overflow
-warnings are silenced on the way, since the failure itself reports them.
+fit step and a cost step. Both descend: an exact assignment minimises a
+majoriser of the rank-p residual, and the least-squares scheme is
+block-coordinate descent. The engine stops at a fixed point, a stall, max_iter
+or a degenerate fit. A non-finite objective or cost matrix (inputs so large
+that squares overflow) raises NumericalFailure; numpy's overflow warnings are
+silenced on the way, since the failure itself reports them.
 
 Inputs are validated once, by the public functions. The engine and the
 private kernels (``_cost``, ``tls._fit``, ``tls._objective``) take arrays that
@@ -41,6 +42,7 @@ from .tls import TlsFit, _fit, _objective, _observation_pair, tls_objective
 COST_KINDS = ("c1", "c2", "c3", "c4")
 
 BRUTE_FORCE_LIMIT = 9
+STALL_TOL = 1e-10  # relative; the only stop for ping-pong between exact ties
 
 
 @dataclass
@@ -153,19 +155,18 @@ def _start(y1, y2, init, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return m1, m2, pi
 
 
-def _alternate(m1, pi, fit, cost, max_iter: int,
-               tol: float) -> tuple[EstimateResult, list[float]]:
+def _alternate(m1, pi, fit, cost, max_iter: int) -> tuple[EstimateResult, list[float]]:
     """Alternate fit and assignment from pi; return the result and the trace
     of the selection metric.
 
     fit(y1p) gives (selection metric, rank-p objective, model) at the aligned
     y1p = m1[pi], the model None when the fit is degenerate; cost(model, y1p)
     gives the assignment cost, whose assignment a makes pi[a] the next
-    permutation. Stops when the metric improves by at most tol (relative),
-    when an assignment revisits a permutation, after max_iter fits, or on a
-    degenerate fit, which sets the failure marker.
+    permutation. Each step descends, so an assignment can only revisit the
+    current permutation. Stops at that fixed point, when the metric improves by
+    at most STALL_TOL (relative), after max_iter fits, or on a degenerate fit,
+    which sets the failure marker.
     """
-    visited = {pi.tobytes()}
     perms: list[np.ndarray] = []
     scores: list[float] = []
     objectives: list[float] = []
@@ -183,7 +184,7 @@ def _alternate(m1, pi, fit, cost, max_iter: int,
             if model is None:
                 failure = "degenerate_fit"
                 break
-            if it > 0 and scores[-2] - scores[-1] <= tol * abs(scores[-2]):
+            if it > 0 and scores[-2] - scores[-1] <= STALL_TOL * abs(scores[-2]):
                 converged = True
                 break
             c = cost(model, y1p)
@@ -191,11 +192,9 @@ def _alternate(m1, pi, fit, cost, max_iter: int,
                 raise NumericalFailure("cost matrix is not finite; the inputs may overflow")
             assignment, _ = solve_lap(c)
             pi_next = pi[assignment]
-            key = pi_next.tobytes()
-            if key in visited:
+            if np.array_equal(pi_next, pi):
                 converged = True
                 break
-            visited.add(key)
             pi = pi_next
     best = int(np.argmin(scores))
     result = EstimateResult(perm=perms[best], iterations=len(scores),
@@ -204,14 +203,13 @@ def _alternate(m1, pi, fit, cost, max_iter: int,
     return result, scores
 
 
-def alta(y1, y2, kind: str = "c3", init=None,
-         max_iter: int = 50, tol: float = 1e-10) -> EstimateResult:
+def alta(y1, y2, kind: str = "c3", init=None, max_iter: int = 50) -> EstimateResult:
     """Alternate the rank-p fit with a linear assignment over cost `kind`.
 
-    Stops on an exact revisit of an earlier permutation, on a consecutive
-    improvement of at most tol (relative), or after max_iter fits. Returns the
-    iterate with the smallest recorded objective. A degenerate fit ends the
-    run with a failure marker instead of raising.
+    Each exact assignment minimises a majoriser of the rank-p objective, so it
+    never rises. Stops at a fixed point, on a relative improvement of at most
+    STALL_TOL, after max_iter fits, or on a degenerate fit, which sets a
+    failure marker instead of raising. Returns the best recorded iterate.
     """
     _check_kind(kind)
     m1, m2, pi = _start(y1, y2, init, max_iter)
@@ -227,10 +225,10 @@ def alta(y1, y2, kind: str = "c3", init=None,
     def cost(f: TlsFit, y1p: np.ndarray) -> np.ndarray:
         return _cost(kind, f.x_hat, f.r_hat, y1p, m2)
 
-    return _alternate(m1, pi, fit, cost, max_iter, tol)[0]
+    return _alternate(m1, pi, fit, cost, max_iter)[0]
 
 
-def aloa(y1, y2, init=None, max_iter: int = 50, tol: float = 1e-10) -> EstimateResult:
+def aloa(y1, y2, init=None, max_iter: int = 50) -> EstimateResult:
     """Alternate an ordinary-least-squares fit with a linear assignment.
 
     Treats y1 as a noise-free design: r solves min ||y1[pi] r - y2||_F and the
@@ -251,6 +249,6 @@ def aloa(y1, y2, init=None, max_iter: int = 50, tol: float = 1e-10) -> EstimateR
     def cost(r_hat: np.ndarray, y1p: np.ndarray) -> np.ndarray:
         return cdist(m2, y1p @ r_hat, "sqeuclidean")
 
-    result, residuals = _alternate(m1, pi, fit, cost, max_iter, tol)
+    result, residuals = _alternate(m1, pi, fit, cost, max_iter)
     result.ols_residual_trace = residuals
     return result

@@ -114,7 +114,7 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
     rm = as_matrix(r, "mixing matrix")
     if rm.shape != (p, p):
         raise ContractViolation(f"mixing matrix must be {p}x{p}, got {rm.shape}")
-    if eta <= 0.0 or c <= 0.0:
+    if not (0.0 < eta < math.inf and 0.0 < c < math.inf):
         raise ContractViolation("eta and c must be positive")
     norm_x = frobenius_norm(mat)
     if norm_x <= 0.0:
@@ -161,7 +161,7 @@ def eig_tail_rhs(sigma, n: int, eps: float, c: float = 1.0 / 32.0) -> float:
         raise ContractViolation("n must be >= 1")
     if not 0.0 < eps <= 4.0 * n:
         raise ContractViolation(f"eps must lie in (0, 4n], got {eps}")
-    if c <= 0.0:
+    if not 0.0 < c < math.inf:
         raise ContractViolation("c must be positive")
     vals = sym_eigvals(cov)
     lam1 = float(vals[0])

@@ -101,6 +101,8 @@ class Observations:
 
 def as_covariance(sigma, p: int) -> np.ndarray:
     """Scalar sigma means sigma^2 * I_p; a matrix is validated as symmetric PSD."""
+    if p < 1:
+        raise ContractViolation("p must be >= 1")
     if np.isscalar(sigma):
         s = float(sigma)
         if s < 0:

@@ -257,7 +257,8 @@ class TestSweep:
                    "--estimator", "brute", "--out", out) == 1
         assert run("sweep", "--sweep", "noise", "--grid", "0.1",
                    "--trials", 0, "--out", out) == 1
-        # permutation specs, for the sweep, estimate and gen commands
+        # permutation specs, non-finite grids and p < 1, for every command
+        # they reach
         inst = tmp_path / "inst"
         assert run("gen", "--n", 6, "--seed", 1, "--out", inst) == 0
         capsys.readouterr()
@@ -274,6 +275,16 @@ class TestSweep:
             (("sweep", "--sweep", "shuffle", "--grid", "0.5", "--init", "bogus",
               "--out", out), "unknown init spec 'bogus'"),
             (("estimate", "--init", "partial=x"), "bad init spec 'partial=x'"),
+            (("sweep", "--sweep", "n", "--grid", "nan", "--out", out), "bad grid 'nan'"),
+            (("sweep", "--sweep", "n", "--grid", "inf", "--out", out), "bad grid 'inf'"),
+            (("sweep", "--sweep", "n", "--grid", "1e400", "--out", out), "bad grid '1e400'"),
+            (("sweep", "--sweep", "snr", "--grid", "8,inf", "--out", out), "bad grid '8,inf'"),
+            (("sweep", "--sweep", "noise", "--grid", "0.1,nan", "--out", out),
+             "bad grid '0.1,nan'"),
+            (("bound", "--eta", "nan"), "bad grid 'nan'"),
+            (("bound", "--c", "nan"), "eta and c must be positive"),
+            (("estimate", "--p", -1), "p must be >= 1"),
+            (("gen", "--p", -1, "--out", inst), "p must be >= 1"),
         ]
         for argv, message in spec_errors:
             assert run(*argv) == 1, argv
@@ -348,3 +359,6 @@ class TestLemmaCommand:
         assert run("lemma") == 1
         assert run("lemma", "--kind", "fermat") == 1
         assert run("lemma", "--kind", "procrustes", "--trials", 0) == 1
+        assert run("lemma", "--kind", "eigtail", "--p", -1) == 1
+        assert run("lemma", "--kind", "eigtail", "--p", 0) == 1
+        assert run("lemma", "--kind", "eigtail", "--n", -5) == 1

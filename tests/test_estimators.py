@@ -1,9 +1,10 @@
 """Estimator behavior: exact enumeration against an independent second pass,
 cost-matrix entries against their definitions (including the closed-form
 minimum against a gradient-free minimizer), assignment composition pinned on
-noiseless instances, the iterative schemes' selection guarantees, and the
+noiseless instances, the iterative schemes' selection guarantees, the
 model's symmetries (relabelling y1, permuting both rows jointly, a common
-scale) for every estimator."""
+scale) for every estimator, and the descent that lets the iterative schemes
+stop at a fixed point."""
 from __future__ import annotations
 
 import itertools
@@ -33,6 +34,7 @@ from tlsperm.model import (
     generate_observations,
     identity_permutation,
     invert_permutation,
+    random_orthogonal,
     random_permutation,
     rotation_2d,
     stream,
@@ -460,3 +462,45 @@ class TestSymmetries:
                 assert res.iterations == ref.iterations, scale
                 assert res.best_objective / scale**2 == pytest.approx(
                     ref.best_objective, rel=1e-9), scale
+
+
+class TestDescent:
+    """alta and aloa are descent methods: an exact assignment minimises a
+    majoriser of the rank-p objective, and aloa is block-coordinate descent
+    on its least-squares residual. So each scheme's selection trace never
+    rises, up to rounding, and the engine may stop at the first fixed point."""
+
+    @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa"])
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1, 2, 3]),
+           sigma=st.sampled_from([0.05, 0.3, 1.0]), n=st.sampled_from([10, 40]),
+           duplicated=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_selection_trace_never_rises(self, estimator, seed, p, sigma, n, duplicated):
+        rng = stream(seed)
+        x = generate_design(n, p, rng)
+        if duplicated:
+            x[n // 2:] = x[:n - n // 2]
+        inst = ProblemInstance(x=x, r=random_orthogonal(p, rng),
+                               pi_star=random_permutation(n, rng),
+                               sigma=as_covariance(sigma, p))
+        obs = generate_observations(inst, rng)
+        init = random_permutation(n, rng)
+        if estimator == "aloa":
+            trace = aloa(obs.y1, obs.y2, init=init).ols_residual_trace
+        else:
+            trace = alta(obs.y1, obs.y2, kind=estimator, init=init).objective_trace
+        for before, after in itertools.pairwise(trace):
+            assert after <= before + 1e-12 * abs(before)
+
+    @pytest.mark.parametrize("kind", ["c1", "c3"])
+    def test_exact_ties_stall_instead_of_ping_ponging(self, kind):
+        # on a noiseless block design many alignments share the objective, so
+        # an assignment can move between tied permutations; the stall rule
+        # ends the run on the first fit that does not improve
+        for half in (3, 5):
+            x, _ = block_design(half)
+            for seed in range(10):
+                init = random_permutation(2 * half, stream(seed, half))
+                res = alta(x, x, kind=kind, init=init)
+                assert res.converged and res.failure is None, (half, seed)
+                assert res.iterations <= 4, (half, seed)

@@ -163,10 +163,10 @@ class TestRecoveryBound:
     def test_validation(self):
         x = generate_design(10, 2, stream(50))
         r = rotation_2d(5.0)
-        with pytest.raises(ContractViolation):
-            recovery_bound(x, r, 0.1, eta=0.0)
-        with pytest.raises(ContractViolation):
-            recovery_bound(x, r, 0.1, eta=1.0, c=0.0)
+        for eta, c in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan),
+                       (math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(ContractViolation):
+                recovery_bound(x, r, 0.1, eta=eta, c=c)
         with pytest.raises(ContractViolation):
             recovery_bound(x[:1], np.eye(2), 0.1, eta=1.0)
         with pytest.raises(ContractViolation):
@@ -205,8 +205,9 @@ class TestEigTailRhs:
             eig_tail_rhs(cov, n=0, eps=0.5)
         with pytest.raises(ContractViolation):
             eig_tail_rhs(np.zeros((2, 2)), n=10, eps=0.5)
-        with pytest.raises(ContractViolation):
-            eig_tail_rhs(cov, n=10, eps=0.5, c=0.0)
+        for c in (0.0, math.nan, math.inf):
+            with pytest.raises(ContractViolation):
+                eig_tail_rhs(cov, n=10, eps=0.5, c=c)
 
 
 class TestProcrustesResidualGap:

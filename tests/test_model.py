@@ -167,6 +167,11 @@ class TestCovarianceAndNoise:
         with pytest.raises(ContractViolation):
             as_covariance(-0.1, 2)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_rejects_dimension_below_one(self, p):
+        with pytest.raises(ContractViolation, match=r"^p must be >= 1$"):
+            as_covariance(0.3, p)
+
     @pytest.mark.parametrize("sigma, message", [
         (np.ones((2, 3)), "covariance must be 2x2, got (2, 3)"),
         (np.ones(2), "noise covariance must be a nonempty 2-D array, got shape (2,)"),
