@@ -62,14 +62,8 @@ LEMMA_SCHEMA = "# schema: tlsperm-lemma-v1"
 
 @dataclass
 class ExperimentConfig:
-    """One sweep: vary `axis` over `grid`, run `trials` per point.
-
-    axis semantics: noise varies the scalar noise level at fixed n; n varies
-    the sample count at fixed noise; snr varies n while scaling noise by
-    (first grid value / n) so the signal-to-noise ratio degrades on a fixed
-    schedule; shuffle keeps the true permutation at identity and starts the
-    estimators from a partial shuffle of the top round(fraction * n) rows.
-    """
+    """One sweep: vary `axis` over `grid`, run `trials` per point; `_sweep_points`
+    states what each axis means."""
 
     axis: str
     grid: list[float]
@@ -145,7 +139,18 @@ def _resolve_permutation(spec: str, n: int | None = None, rng=None, truth=None):
     return partial_shuffle(n, k, rng)
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
+    """Validate the sweep and resolve each grid value g to (n, covariance, start spec).
+
+    The true permutation is always the identity. By axis:
+    noise: g is the scalar noise level, at n = cfg.n;
+    n: g is the sample count, with noise cfg.sigma;
+    snr: as n, with the covariance scaled by (grid[0] / g)^2, so the
+      signal-to-noise ratio degrades on a fixed schedule;
+    shuffle: g in [0, 1] is a fraction, at n = cfg.n with noise cfg.sigma; the
+      estimators start from partial=round(g * n), a shuffle of the top rows.
+    Every other axis starts from cfg.init, which is checked on every axis.
+    """
     if cfg.axis not in SWEEP_AXES:
         raise ContractViolation(f"unknown sweep axis {cfg.axis!r}")
     if not cfg.grid:
@@ -158,42 +163,27 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ContractViolation("p must be >= 1")
     _resolve_permutation(cfg.init)
     parse_estimators(",".join(cfg.estimators))
-    if cfg.axis in ("n", "snr"):
-        for g in cfg.grid:
-            if g != int(g) or int(g) < 2 * cfg.p:
-                raise ContractViolation(f"grid value {g} is not a sample count >= 2p")
-    else:
-        if cfg.n < 2 * cfg.p:
-            raise ContractViolation(f"need n >= 2p, got n={cfg.n}, p={cfg.p}")
-    if cfg.axis == "noise":
-        for g in cfg.grid:
-            if g < 0:
-                raise ContractViolation("noise levels must be nonnegative")
-    if cfg.axis == "shuffle":
-        for g in cfg.grid:
-            if not 0.0 <= g <= 1.0:
-                raise ContractViolation("shuffle fractions must lie in [0, 1]")
-    if "brute" in cfg.estimators:
-        worst = max(int(g) for g in cfg.grid) if cfg.axis in ("n", "snr") else cfg.n
-        if worst > BRUTE_FORCE_LIMIT:
-            raise ContractViolation(
-                f"brute estimator needs n <= {BRUTE_FORCE_LIMIT} at every grid point")
-
-
-def _point_params(cfg: ExperimentConfig, gi: int) -> tuple[int, np.ndarray, int | None]:
-    """Resolve (n, covariance, shuffle size) for grid point gi."""
-    g = cfg.grid[gi]
-    if cfg.axis == "noise":
-        return cfg.n, as_covariance(float(g), cfg.p), None
-    if cfg.axis == "n":
-        return int(g), as_covariance(cfg.sigma, cfg.p), None
-    if cfg.axis == "snr":
-        n = int(g)
-        scale = cfg.grid[0] / n
-        base = as_covariance(cfg.sigma, cfg.p)
-        return n, base * scale * scale, None
-    n = cfg.n
-    return n, as_covariance(cfg.sigma, cfg.p), int(round(float(g) * n))
+    sized = cfg.axis in ("n", "snr")
+    if not sized and cfg.n < 2 * cfg.p:
+        raise ContractViolation(f"need n >= 2p, got n={cfg.n}, p={cfg.p}")
+    for g in cfg.grid:
+        if sized and (g != int(g) or int(g) < 2 * cfg.p):
+            raise ContractViolation(f"grid value {g} is not a sample count >= 2p")
+        if cfg.axis == "noise" and g < 0:
+            raise ContractViolation("noise levels must be nonnegative")
+        if cfg.axis == "shuffle" and not 0.0 <= g <= 1.0:
+            raise ContractViolation("shuffle fractions must lie in [0, 1]")
+    ns = [int(g) if sized else cfg.n for g in cfg.grid]
+    if "brute" in cfg.estimators and max(ns) > BRUTE_FORCE_LIMIT:
+        raise ContractViolation(
+            f"brute estimator needs n <= {BRUTE_FORCE_LIMIT} at every grid point")
+    points = []
+    for g, n in zip(cfg.grid, ns):
+        cov = as_covariance(float(g) if cfg.axis == "noise" else cfg.sigma, cfg.p)
+        scale = cfg.grid[0] / n if cfg.axis == "snr" else 1.0
+        start = f"partial={round(float(g) * n)}" if cfg.axis == "shuffle" else cfg.init
+        points.append((n, cov * scale * scale, start))
+    return points
 
 
 def _run_estimator(label: str, y1, y2, init) -> EstimateResult:
@@ -204,8 +194,8 @@ def _run_estimator(label: str, y1, y2, init) -> EstimateResult:
     return brute_force_tls(y1, y2)
 
 
-def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[dict]:
-    n, cov, shuffle_k = _point_params(cfg, gi)
+def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
+                      n: int, cov: np.ndarray, start: str) -> list[dict]:
     rng = stream(cfg.seed, gi, ti)
     if cfg.fresh_design:
         design_rng = rng
@@ -216,10 +206,7 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int) -> list[dict]:
     x = generate_design(n, cfg.p, design_rng)
     r = rotation_2d(cfg.theta) if cfg.p == 2 else random_orthogonal(cfg.p, design_rng)
     pi_star = identity_permutation(n)
-    if shuffle_k is not None:
-        init = partial_shuffle(n, shuffle_k, rng)
-    else:
-        init = _resolve_permutation(cfg.init, n, rng, truth=pi_star)
+    init = _resolve_permutation(start, n, rng, truth=pi_star)
     obs = generate_observations(ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov), rng)
     records = []
     for label in cfg.estimators:
@@ -263,8 +250,8 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     Trials run on cfg.workers threads; map keeps their order, and an
     interrupt cancels the trials that have not started.
     """
-    validate_config(cfg)
-    tasks = [(gi, ti) for gi in range(len(cfg.grid)) for ti in range(cfg.trials)]
+    points = _sweep_points(cfg)
+    tasks = [(gi, ti, *point) for gi, point in enumerate(points) for ti in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         chunks = list(pool.map(lambda t: _run_single_trial(cfg, *t), tasks))
     records = [rec for chunk in chunks for rec in chunk]
@@ -557,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, n_default=6)
     sp.add_argument("--perm", type=str, default="random",
                     help="true permutation: identity, random, or partial=K")
-    sp.add_argument("--limit", type=int, default=BRUTE_FORCE_LIMIT)
     sp.add_argument("--out", type=str, help="write the estimated permutation here")
     sp.set_defaults(func=_cmd_bruteforce)
 
@@ -615,6 +601,11 @@ def _cmd_estimate(args) -> int:
         y2 = read_matrix(args.y2)
         x = read_matrix(args.truth_x) if args.truth_x else None
         pi_star = read_permutation(args.truth_perm) if args.truth_perm else None
+        if x is not None and x.shape != y1.shape:
+            raise ContractViolation(f"--truth-x has shape {x.shape}, y1 has {y1.shape}")
+        if pi_star is not None and pi_star.size != y1.shape[0]:
+            raise ContractViolation(
+                f"--truth-perm has length {pi_star.size}, y1 has {y1.shape[0]} rows")
     else:
         inst, obs = _generate_cli_instance(args, "identity")
         y1, y2, x, pi_star = obs.y1, obs.y2, inst.x, inst.pi_star
@@ -681,10 +672,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_bruteforce(args) -> int:
-    if args.n > args.limit:
-        raise ContractViolation(f"--n {args.n} exceeds --limit {args.limit}")
     inst, obs = _generate_cli_instance(args, args.perm)
-    result = brute_force_tls(obs.y1, obs.y2, limit=args.limit)
+    result = brute_force_tls(obs.y1, obs.y2)
     obj_star = tls_objective(obs.y2, obs.y1[inst.pi_star])
     print(f"objective_at_estimate: {format_float(result.best_objective)}")
     print(f"objective_at_truth: {format_float(obj_star)}")

@@ -66,15 +66,15 @@ class EstimateResult:
     ols_residual_trace: list[float] | None = field(default=None)
 
 
-def brute_force_tls(y1, y2, limit: int = BRUTE_FORCE_LIMIT) -> EstimateResult:
+def brute_force_tls(y1, y2) -> EstimateResult:
     """Exact argmin of the rank-p residual over all n! row alignments.
 
-    Refuses n > limit. Ties break to the lexicographically first permutation.
+    Refuses n > BRUTE_FORCE_LIMIT. Ties break to the lexicographically first permutation.
     Raises NumericalFailure when no alignment has a finite residual.
     """
     m1, m2, n, _ = _observation_pair(y1, y2)
-    if n > limit:
-        raise ContractViolation(f"brute force refused for n={n} > limit={limit}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ContractViolation(f"brute force refused for n={n} > limit={BRUTE_FORCE_LIMIT}")
     best_obj = np.inf
     best_perm = identity_permutation(n)
     count = 0

@@ -107,6 +107,8 @@ def as_covariance(sigma, p: int) -> np.ndarray:
         s = float(sigma)
         if s < 0:
             raise ContractViolation("scalar noise level must be nonnegative")
+        if not math.isfinite(s * s):
+            raise ContractViolation("covariance contains NaN or Inf entries")
         return (s * s) * np.eye(p)
     return _check_covariance(as_matrix(sigma, "covariance"), p)
 
@@ -138,6 +140,8 @@ def generate_design(n: int, p: int, rng: Rng) -> np.ndarray:
 
 
 def rotation_2d(theta_degrees: float) -> np.ndarray:
+    if not math.isfinite(theta_degrees):
+        raise ContractViolation(f"rotation angle must be finite, got {theta_degrees}")
     t = math.radians(theta_degrees)
     return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 

@@ -134,6 +134,26 @@ class TestEstimate:
         write_matrix(y1, np.eye(4))
         assert run("estimate", "--y1", y1) == 1
 
+    def test_truth_files_checked_before_solving(self, tmp_path, capsys):
+        """Truth files that do not match y1 are a usage error before any
+        estimate is printed."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("gen", "--n", 10, "--perm", "random", "--seed", 1, "--out", a) == 0
+        assert run("gen", "--n", 8, "--perm", "random", "--seed", 2, "--out", b) == 0
+        capsys.readouterr()
+        route = ("estimate", "--y1", a / "y1.csv", "--y2", a / "y2.csv")
+        cases = [
+            (("--truth-x", b / "x.csv", "--truth-perm", a / "pi_star.txt"),
+             "--truth-x has shape (8, 2), y1 has (10, 2)"),
+            (("--truth-x", a / "x.csv", "--truth-perm", b / "pi_star.txt"),
+             "--truth-perm has length 8, y1 has 10 rows"),
+        ]
+        for extra, message in cases:
+            assert run(*route, *extra) == 1, extra
+            captured = capsys.readouterr()
+            assert captured.out == "", extra
+            assert captured.err == f"error: {message}\n", extra
+
     def test_rank_deficient_input_is_numerical_failure(self, tmp_path):
         y1 = tmp_path / "y1.csv"
         y2 = tmp_path / "y2.csv"
@@ -245,24 +265,64 @@ class TestSweep:
         capsys.readouterr()
         assert records_without_timing(a) == records_without_timing(b)
 
+    def test_shuffle_point_is_noise_point_with_partial_start(self, tmp_path, capsys):
+        """A shuffle fraction g is the start spec partial=round(g * n): the
+        records match a noise sweep at the same sigma started that way."""
+        common = ("--n", 12, "--trials", 3, "--seed", 6, "--estimator", "alta:c3,aloa")
+        shuffled = tmp_path / "shuffle.csv"
+        noise = tmp_path / "noise.csv"
+        assert run("sweep", "--sweep", "shuffle", "--grid", 0.5, "--sigma", 0.2, *common,
+                   "--out", shuffled) == 0
+        assert run("sweep", "--sweep", "noise", "--grid", 0.2, "--init", "partial=6",
+                   *common, "--out", noise) == 0
+        capsys.readouterr()
+
+        def without_axis_grid_and_timing(path):
+            rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+            return [[row[1], *row[3:-1]] for row in rows]
+
+        records = without_axis_grid_and_timing(shuffled)
+        assert len(records) == 2 * 3
+        assert records == without_axis_grid_and_timing(noise)
+
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run("sweep", "--sweep", "frequency", "--grid", "1",
                    "--out", out) == 1
-        assert run("sweep", "--sweep", "noise", "--grid", "0.1;0.2",
-                   "--out", out) == 1
-        assert run("sweep", "--sweep", "noise", "--grid", "0.1",
-                   "--estimator", "newton", "--out", out) == 1
-        assert run("sweep", "--sweep", "n", "--grid", "10,12",
-                   "--estimator", "brute", "--out", out) == 1
-        assert run("sweep", "--sweep", "noise", "--grid", "0.1",
-                   "--trials", 0, "--out", out) == 1
-        # permutation specs, non-finite grids and p < 1, for every command
-        # they reach
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "error: argument --sweep: invalid choice: 'frequency'")
+        from tlsperm.cli import ExperimentConfig, run_sweep
+        with pytest.raises(ContractViolation, match="^unknown sweep axis 'frequency'$"):
+            run_sweep(ExperimentConfig(axis="frequency", grid=[1.0], n=12, p=2, sigma=0.1,
+                                       theta=60.0, trials=1, seed=0))
+        # permutation specs, sweep axes, non-finite grids, angles and noise
+        # levels, and p < 1, for every command they reach
         inst = tmp_path / "inst"
         assert run("gen", "--n", 6, "--seed", 1, "--out", inst) == 0
         capsys.readouterr()
+        sweep = ("sweep", "--out", out, "--sweep")
         spec_errors = [
+            ((*sweep, "noise", "--grid", "0.1;0.2"), "bad grid '0.1;0.2'"),
+            ((*sweep, "noise", "--grid", "0.1", "--estimator", "newton"),
+             "unknown estimator spec 'newton'"),
+            ((*sweep, "n", "--grid", "10,12", "--estimator", "brute"),
+             "brute estimator needs n <= 9 at every grid point"),
+            ((*sweep, "noise", "--grid", "0.1", "--trials", 0), "trials must be >= 1"),
+            ((*sweep, "shuffle", "--grid", "1.5"), "shuffle fractions must lie in [0, 1]"),
+            ((*sweep, "noise", "--grid", "-1"), "noise levels must be nonnegative"),
+            ((*sweep, "n", "--grid", "6.5"), "grid value 6.5 is not a sample count >= 2p"),
+            ((*sweep, "shuffle", "--grid", "0.5", "--n", 3), "need n >= 2p, got n=3, p=2"),
+            ((*sweep, "n", "--grid", "8", "--sigma", -1),
+             "scalar noise level must be nonnegative"),
+            (("estimate", "--theta", "inf"), "rotation angle must be finite, got inf"),
+            ((*sweep, "noise", "--grid", "0.1", "--n", 12, "--theta", "inf"),
+             "rotation angle must be finite, got inf"),
+            (("estimate", "--sigma", "inf"), "covariance contains NaN or Inf entries"),
+            (("bound", "--sigma", "1e200"), "covariance contains NaN or Inf entries"),
+            ((*sweep, "n", "--grid", "8", "--sigma", "inf"),
+             "covariance contains NaN or Inf entries"),
+            ((*sweep, "noise", "--grid", "1e200", "--n", 12),
+             "covariance contains NaN or Inf entries"),
             (("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv",
               "--init", "truth"), "--init truth needs a known true permutation"),
             (("estimate", "--n", 12, "--init", "partial=99"),
@@ -330,8 +390,11 @@ class TestBruteforceCommand:
         assert (float(fields["objective_at_estimate"])
                 <= float(fields["objective_at_truth"]) + 1e-15)
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, capsys):
         assert run("bruteforce", "--n", 10) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: brute force refused for n=10 > limit=9\n"
 
 
 class TestLemmaCommand:

@@ -1,0 +1,164 @@
+"""Hash every artifact of a fixed set of tlsperm commands, for byte-identity checks.
+
+Runs each command through ``python3 -m tlsperm.cli`` with the package taken
+from ``--src``, each in its own directory under a fresh temporary directory,
+with one BLAS thread. Prints one ``name sha256`` line per artifact: the
+command's stdout, stderr and exit code, and every file it wrote. Sweep records
+are hashed without their last (wall_ms) column. Compare two trees with
+
+    python3 tools/output_digests.py --src OLD/src > old.txt
+    python3 tools/output_digests.py --src NEW/src > new.txt
+    diff old.txt new.txt
+
+Standard library only; takes about a minute on a 2-vCPU machine.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RECORDS_SCHEMA = "# schema: tlsperm-sweep-v1"
+SHUFFLE_GRID = "0,0.25,0.5,0.75,1"
+ALL_ALTA = "alta:c1,alta:c2,alta:c3,alta:c4,aloa"
+
+# Each command is a list of argv steps run in one directory, with outputs at
+# relative paths there; its artifacts are the last step's streams and exit
+# code, and every file any step wrote.
+SWEEPS = {
+    "crit9": ["--sweep", "noise", "--grid", "0.1,0.3", "--n", "12", "--trials", "5",
+              "--seed", "33", "--estimator", "alta:c3,aloa", "--init", "random"],
+    "sweep-n60-seed7": ["--sweep", "shuffle", "--grid", SHUFFLE_GRID, "--n", "60",
+                        "--estimator", ALL_ALTA, "--workers", "1", "--trials", "24",
+                        "--seed", "7"],
+    "snr-workers2": ["--sweep", "snr", "--grid", "20,40,80", "--sigma", "0.3",
+                     "--trials", "6", "--seed", "3", "--estimator", "alta:c4,aloa",
+                     "--workers", "2", "--fresh-design", "false"],
+    "n-axis-brute": ["--sweep", "n", "--grid", "6,7", "--sigma", "0.1", "--trials", "3",
+                     "--seed", "5", "--estimator", "alta,aloa,brute", "--init", "partial=5",
+                     "--svg"],
+    "p3": ["--sweep", "noise", "--grid", "0.05,0.2", "--n", "30", "--p", "3",
+           "--trials", "5", "--seed", "11", "--estimator", "alta:c2,aloa", "--init", "random"],
+}
+GEN_A = ["gen", "--n", "10", "--sigma", "0.1", "--perm", "random", "--seed", "7", "--out", "A"]
+GEN_B = ["gen", "--n", "8", "--sigma", "0.1", "--perm", "random", "--seed", "8", "--out", "B"]
+FILE_ROUTE = ["estimate", "--y1", "A/y1.csv", "--y2", "A/y2.csv"]
+USAGE_ERRORS = [
+    ["sweep", "--sweep", "frequency", "--grid", "1"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1;0.2"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--estimator", "newton"],
+    ["sweep", "--sweep", "n", "--grid", "10,12", "--estimator", "brute"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--trials", "0"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--workers", "0"],
+    ["sweep", "--sweep", "shuffle", "--grid", "1.5"],
+    ["sweep", "--sweep", "noise", "--grid", "-1"],
+    ["sweep", "--sweep", "n", "--grid", "6.5"],
+    ["sweep", "--sweep", "shuffle", "--grid", "0.5", "--n", "3"],
+    ["sweep", "--sweep", "n", "--grid", "8", "--sigma", "-1"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--init", "partial=99"],
+    ["sweep", "--sweep", "shuffle", "--grid", "0.5", "--init", "bogus"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--p", "0"],
+    ["sweep", "--sweep", "snr", "--grid", "8,inf"],
+    ["sweep", "--sweep", "noise", "--grid", "1e200", "--n", "12", "--trials", "1"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--theta", "inf"],
+    ["estimate", "--init", "truth", "--y1", "missing.csv"],
+    ["estimate", "--n", "12", "--init", "partial=99"],
+    ["estimate", "--init", "bogus"],
+    ["estimate", "--p", "-1"],
+    ["estimate", "--theta", "inf"],
+    ["estimate", "--sigma", "inf"],
+    ["gen", "--perm", "partial=-1", "--out", "inst"],
+    ["gen", "--sigma", "missing.csv", "--out", "inst"],
+    ["bound", "--eta", "nan"],
+    ["bound", "--c", "nan"],
+    ["bound", "--sigma", "1e200"],
+    ["bruteforce", "--n", "10"],
+    ["lemma", "--kind", "procrustes", "--trials", "0"],
+    ["lemma", "--kind", "eigtail", "--n", "-5"],
+]
+
+COMMANDS: dict[str, list[list[str]]] = {
+    f"sweep-{name}": [["sweep", *argv, "--out", "records.csv"]] for name, argv in SWEEPS.items()
+}
+for _est in ("alta --cost c1", "alta --cost c2", "alta --cost c3", "alta --cost c4", "aloa"):
+    for _init in ("truth", "identity", "random", "partial=5"):
+        COMMANDS[f"estimate-{_est.replace(' --cost ', '-')}-{_init}"] = [[
+            "estimate", "--n", "20", "--sigma", "0.1", "--seed", "4",
+            "--estimator", *_est.split(), "--init", _init]]
+COMMANDS.update({
+    "estimate-brute": [["estimate", "--n", "7", "--sigma", "0.1", "--estimator", "brute"]],
+    "estimate-out": [["estimate", "--n", "30", "--seed", "9", "--out", "perm.txt"]],
+    "estimate-file-identity": [GEN_A, FILE_ROUTE + [
+        "--truth-x", "A/x.csv", "--truth-perm", "A/pi_star.txt", "--init", "identity"]],
+    "estimate-file-aloa-out": [GEN_A, FILE_ROUTE + ["--estimator", "aloa", "--out", "perm.txt"]],
+    "gen-random": [GEN_A],
+    "gen-partial-p3": [["gen", "--n", "12", "--p", "3", "--perm", "partial=4", "--out", "inst"]],
+    "bruteforce": [["bruteforce", "--n", "7", "--sigma", "0.1", "--perm", "random",
+                    "--seed", "2", "--out", "perm.txt"]],
+    "bruteforce-noiseless": [["bruteforce", "--n", "6", "--sigma", "0"]],
+    "bound": [["bound", "--out", "bound.csv"]],
+    "bound-sigma0": [["bound", "--sigma", "0", "--n", "50", "--eta", "1"]],
+    "lemma-procrustes": [["lemma", "--kind", "procrustes", "--trials", "50",
+                          "--out", "lemma.csv"]],
+    "lemma-tracemax": [["lemma", "--kind", "tracemax", "--trials", "10"]],
+    "lemma-eigtail": [["lemma", "--kind", "eigtail", "--trials", "30"]],
+    "usage-truth-x-shape": [GEN_A, GEN_B, FILE_ROUTE + [
+        "--truth-x", "B/x.csv", "--truth-perm", "A/pi_star.txt"]],
+    "usage-truth-perm-length": [GEN_A, GEN_B, FILE_ROUTE + [
+        "--truth-x", "A/x.csv", "--truth-perm", "B/pi_star.txt"]],
+})
+for _i, _argv in enumerate(USAGE_ERRORS):
+    _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
+    COMMANDS[f"usage-{_i:02d}-{_argv[0]}"] = [_argv + _out]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_digest(path: Path) -> str:
+    data = path.read_bytes()
+    if data.startswith(RECORDS_SCHEMA.encode()):
+        lines = data.decode().splitlines()
+        data = "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()
+    return sha256(data)
+
+
+def run_all(src: Path, root: Path) -> list[tuple[str, str]]:
+    """Run every command in its own directory under root; return (name, digest) pairs."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", LC_ALL="C")
+    out = []
+    for name, steps in COMMANDS.items():
+        cwd = root / name
+        cwd.mkdir()
+        for argv in steps:
+            proc = subprocess.run([sys.executable, "-m", "tlsperm.cli", *argv], cwd=cwd,
+                                  env=env, capture_output=True, timeout=600)
+        out += [(f"{name}.stdout", sha256(proc.stdout)),
+                (f"{name}.stderr", sha256(proc.stderr)),
+                (f"{name}.exit", sha256(str(proc.returncode).encode()))]
+        out += [(f"{name}/{path.relative_to(cwd)}", file_digest(path))
+                for path in sorted(cwd.rglob("*")) if path.is_file()]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory that holds the tlsperm package")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "tlsperm" / "cli.py").is_file():
+        parser.error(f"no tlsperm package under {src}")
+    with tempfile.TemporaryDirectory(prefix="tlsperm-digests-") as tmp:
+        for name, digest in run_all(src, Path(tmp)):
+            print(f"{name} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
