@@ -108,12 +108,9 @@ def parse_estimators(text: str, default_cost: str = "c3") -> list[str]:
     return labels
 
 
-def _resolve_permutation(spec: str, n: int | None = None, rng=None, truth=None):
-    """Resolve a truth|identity|random|partial=K spec to a permutation of 0..n-1.
-
-    truth returns a copy of `truth`, which must then be known; random and
-    partial=K draw from rng. With n None the spec is only checked.
-    """
+def _start_size(spec: str, n: int | None = None) -> int:
+    """Check a truth|identity|random|partial=K spec, against n when given;
+    return K, or 0 for the specs without a size."""
     k = 0
     if spec.startswith("partial="):
         try:
@@ -124,8 +121,18 @@ def _resolve_permutation(spec: str, n: int | None = None, rng=None, truth=None):
             raise ContractViolation("partial shuffle size must be nonnegative")
     elif spec not in ("truth", "identity", "random"):
         raise ContractViolation(f"unknown init spec {spec!r}")
-    if n is None:
-        return None
+    if n is not None and k > n:
+        raise ContractViolation(f"partial shuffle size {k} exceeds n={n}")
+    return k
+
+
+def _resolve_permutation(spec: str, n: int, rng=None, truth=None):
+    """Resolve a truth|identity|random|partial=K spec to a permutation of 0..n-1.
+
+    truth returns a copy of `truth`, which must then be known; random and
+    partial=K draw from rng.
+    """
+    k = _start_size(spec, n)
     if spec == "truth":
         if truth is None:
             raise ContractViolation("--init truth needs a known true permutation")
@@ -134,9 +141,14 @@ def _resolve_permutation(spec: str, n: int | None = None, rng=None, truth=None):
         return identity_permutation(n)
     if spec == "random":
         return random_permutation(n, rng)
-    if k > n:
-        raise ContractViolation(f"partial shuffle size {k} exceeds n={n}")
     return partial_shuffle(n, k, rng)
+
+
+def _mixing(p: int, theta: float, rng) -> np.ndarray:
+    """The p x p mixing matrix: the rotation by theta degrees at p = 2, else a
+    random orthogonal draw from rng. theta must be finite at every p."""
+    r = rotation_2d(theta)
+    return r if p == 2 else random_orthogonal(p, rng)
 
 
 def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
@@ -150,6 +162,8 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
     shuffle: g in [0, 1] is a fraction, at n = cfg.n with noise cfg.sigma; the
       estimators start from partial=round(g * n), a shuffle of the top rows.
     Every other axis starts from cfg.init, which is checked on every axis.
+    cfg.sigma and cfg.theta are checked on every axis and at every p, then
+    each point's start against its n, all before any trial runs.
     """
     if cfg.axis not in SWEEP_AXES:
         raise ContractViolation(f"unknown sweep axis {cfg.axis!r}")
@@ -161,7 +175,7 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
         raise ContractViolation("workers must be >= 1")
     if cfg.p < 1:
         raise ContractViolation("p must be >= 1")
-    _resolve_permutation(cfg.init)
+    _start_size(cfg.init)
     parse_estimators(",".join(cfg.estimators))
     sized = cfg.axis in ("n", "snr")
     if not sized and cfg.n < 2 * cfg.p:
@@ -177,11 +191,14 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
     if "brute" in cfg.estimators and max(ns) > BRUTE_FORCE_LIMIT:
         raise ContractViolation(
             f"brute estimator needs n <= {BRUTE_FORCE_LIMIT} at every grid point")
+    sigma = as_covariance(cfg.sigma, cfg.p)
+    covs = [as_covariance(float(g), cfg.p) if cfg.axis == "noise" else sigma for g in cfg.grid]
+    rotation_2d(cfg.theta)  # rejects a non-finite angle at every p
     points = []
-    for g, n in zip(cfg.grid, ns):
-        cov = as_covariance(float(g) if cfg.axis == "noise" else cfg.sigma, cfg.p)
+    for g, n, cov in zip(cfg.grid, ns, covs):
         scale = cfg.grid[0] / n if cfg.axis == "snr" else 1.0
         start = f"partial={round(float(g) * n)}" if cfg.axis == "shuffle" else cfg.init
+        _start_size(start, n)
         points.append((n, cov * scale * scale, start))
     return points
 
@@ -204,7 +221,7 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
         # trial index cfg.trials is never consumed by a real trial
         design_rng = stream(cfg.seed, gi, cfg.trials)
     x = generate_design(n, cfg.p, design_rng)
-    r = rotation_2d(cfg.theta) if cfg.p == 2 else random_orthogonal(cfg.p, design_rng)
+    r = _mixing(cfg.p, cfg.theta, design_rng)
     pi_star = identity_permutation(n)
     init = _resolve_permutation(start, n, rng, truth=pi_star)
     obs = generate_observations(ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov), rng)
@@ -373,7 +390,7 @@ def run_bound(n: int, p: int, sigma, theta: float, etas: list[float],
               c: float, seed: int) -> list[dict]:
     """Assemble the loss bound for each confidence exponent eta."""
     x = generate_design(n, p, stream(seed))
-    r = rotation_2d(theta) if p == 2 else random_orthogonal(p, stream(seed, 1))
+    r = _mixing(p, theta, stream(seed, 1))
     cov = as_covariance(sigma, p)
     rows = []
     for eta in etas:
@@ -564,7 +581,7 @@ def _generate_cli_instance(args, perm_spec: str):
     rng = stream(args.seed)
     cov = as_covariance(_sigma_value(args.sigma), args.p)
     x = generate_design(args.n, args.p, rng)
-    r = rotation_2d(args.theta) if args.p == 2 else random_orthogonal(args.p, rng)
+    r = _mixing(args.p, args.theta, rng)
     # --perm truth names the identity here
     pi_star = _resolve_permutation(perm_spec, args.n, rng, truth=identity_permutation(args.n))
     inst = ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov)

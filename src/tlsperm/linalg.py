@@ -20,7 +20,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ContractViolation(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractViolation(f"{name} contains NaN or Inf entries")
     return arr
 

@@ -36,7 +36,7 @@ def tls_objective(y2, y1p) -> float:
 def _objective(m2: np.ndarray, m1p: np.ndarray) -> float:
     """tls_objective() on a validated pair."""
     s = _singular_values(np.concatenate((m2, m1p), axis=1))
-    return float(np.sum(s[m2.shape[1]:] ** 2))
+    return float((s[m2.shape[1]:] ** 2).sum())
 
 
 @dataclass
@@ -72,7 +72,7 @@ def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
     """
     p = m2.shape[1]
     f = _svd(np.concatenate((m2, m1p), axis=1))
-    objective = float(np.sum(f.s[p:] ** 2))
+    objective = float((f.s[p:] ** 2).sum())
     a, b = f.v[:p, :p], f.v[p:, :p]
     x_hat = (f.u[:, :p] * f.s[:p]) @ b.T
     sv = _singular_values(f.s[:p, None] * b.T)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tlsperm import cli
 from tlsperm.cli import main
 from tlsperm.errors import ContractViolation
 from tlsperm.matio import (
@@ -128,6 +129,12 @@ class TestEstimate:
         fields = stdout_fields(capsys)
         assert fields["hamming"] == "0"
         assert float(fields["procrustes_loss"]) <= 1e-12
+
+    def test_theta_checked_at_every_p(self, capsys):
+        assert run("estimate", "--p", 3, "--theta", "inf") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rotation angle must be finite, got inf\n"
 
     def test_lone_y1_is_usage_error(self, tmp_path):
         y1 = tmp_path / "y1.csv"
@@ -284,6 +291,33 @@ class TestSweep:
         records = without_axis_grid_and_timing(shuffled)
         assert len(records) == 2 * 3
         assert records == without_axis_grid_and_timing(noise)
+
+    def test_start_sizes_checked_before_any_estimator_runs(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """partial=K is checked against every grid point's n before the first
+        trial; with a non-finite angle as well, the angle's message wins."""
+        def no_solve(*args):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(cli, "_run_estimator", no_solve)
+        out = tmp_path / "r.csv"
+        argv = ("sweep", "--sweep", "n", "--grid", "600,8", "--init", "partial=100",
+                "--trials", 3, "--estimator", "alta:c3,aloa", "--out", out)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == "error: partial shuffle size 100 exceeds n=8\n"
+        assert run(*argv, "--theta", "inf") == 1
+        assert capsys.readouterr().err == "error: rotation angle must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_sigma_checked_against_p_on_noise_axis(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        assert run("gen", "--n", 6, "--out", inst) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        assert run("sweep", "--sweep", "noise", "--grid", "0.1", "--n", 12, "--p", 3,
+                   "--sigma", inst / "sigma.csv", "--trials", 1, "--out", out) == 1
+        assert capsys.readouterr().err == "error: covariance must be 3x3, got (2, 2)\n"
+        assert not out.exists()
 
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -4,6 +4,8 @@ trace maximization for the nuclear norm, squared singular values for the
 symmetric eigenvalues."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,38 @@ class TestAsMatrix:
             as_matrix(np.array([[1.0, np.nan]]))
         with pytest.raises(ContractViolation):
             as_matrix(np.array([[np.inf], [0.0]]))
+
+    def test_native_float_array_comes_back_as_is(self):
+        a = stream(5).standard_normal((6, 4))
+        frozen = a.copy()
+        frozen.setflags(write=False)
+        for arr in (a, frozen, a[:, ::2], a.T):
+            assert as_matrix(arr) is arr
+
+    def test_other_inputs_convert_as_asarray_does(self):
+        a = stream(6).standard_normal((4, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PendingDeprecationWarning)
+            mat = np.matrix(a)
+
+        class Sub(np.ndarray):
+            pass
+
+        for x in ([[1, 2], [3, 4]], np.arange(6).reshape(3, 2), a.astype(np.float32),
+                  mat, a.view(Sub), a.astype(">f8"), a.astype(">f8")[::2]):
+            out = as_matrix(x)
+            ref = np.asarray(x, dtype=float)
+            assert type(out) is np.ndarray and out.dtype == ref.dtype == np.float64
+            assert out.dtype.isnative
+            assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message_on_every_route(self, bad):
+        a = np.ones((3, 2))
+        a[1, 0] = bad
+        for x in (a, a[:, ::-1], a.astype(np.float32), a.astype(">f8"), a.tolist()):
+            with pytest.raises(ContractViolation, match="^y1 contains NaN or Inf entries$"):
+                as_matrix(x, "y1")
 
 
 class TestSvd:

@@ -10,7 +10,7 @@ are hashed without their last (wall_ms) column. Compare two trees with
     python3 tools/output_digests.py --src NEW/src > new.txt
     diff old.txt new.txt
 
-Standard library only; takes about a minute on a 2-vCPU machine.
+Standard library only; takes about 90 s on a 2-vCPU machine.
 """
 from __future__ import annotations
 
@@ -65,12 +65,17 @@ USAGE_ERRORS = [
     ["sweep", "--sweep", "snr", "--grid", "8,inf"],
     ["sweep", "--sweep", "noise", "--grid", "1e200", "--n", "12", "--trials", "1"],
     ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--theta", "inf"],
+    ["sweep", "--sweep", "n", "--grid", "600,8", "--init", "partial=100", "--trials", "3",
+     "--estimator", "alta:c3,aloa"],
+    ["sweep", "--sweep", "n", "--grid", "600,8", "--init", "partial=100", "--trials", "3",
+     "--estimator", "alta:c3,aloa", "--theta", "inf"],
     ["estimate", "--init", "truth", "--y1", "missing.csv"],
     ["estimate", "--n", "12", "--init", "partial=99"],
     ["estimate", "--init", "bogus"],
     ["estimate", "--p", "-1"],
     ["estimate", "--theta", "inf"],
     ["estimate", "--sigma", "inf"],
+    ["estimate", "--p", "3", "--theta", "inf"],
     ["gen", "--perm", "partial=-1", "--out", "inst"],
     ["gen", "--sigma", "missing.csv", "--out", "inst"],
     ["bound", "--eta", "nan"],
@@ -99,6 +104,8 @@ COMMANDS.update({
     "gen-partial-p3": [["gen", "--n", "12", "--p", "3", "--perm", "partial=4", "--out", "inst"]],
     "bruteforce": [["bruteforce", "--n", "7", "--sigma", "0.1", "--perm", "random",
                     "--seed", "2", "--out", "perm.txt"]],
+    "bruteforce-n8": [["bruteforce", "--n", "8", "--sigma", "0.1", "--perm", "random",
+                       "--seed", "3"]],
     "bruteforce-noiseless": [["bruteforce", "--n", "6", "--sigma", "0"]],
     "bound": [["bound", "--out", "bound.csv"]],
     "bound-sigma0": [["bound", "--sigma", "0", "--n", "50", "--eta", "1"]],
@@ -110,6 +117,9 @@ COMMANDS.update({
         "--truth-x", "B/x.csv", "--truth-perm", "A/pi_star.txt"]],
     "usage-truth-perm-length": [GEN_A, GEN_B, FILE_ROUTE + [
         "--truth-x", "A/x.csv", "--truth-perm", "B/pi_star.txt"]],
+    "usage-noise-axis-sigma-p3": [GEN_B, ["sweep", "--sweep", "noise", "--grid", "0.1",
+                                          "--n", "12", "--p", "3", "--sigma", "B/sigma.csv",
+                                          "--trials", "2", "--out", "records.csv"]],
 })
 for _i, _argv in enumerate(USAGE_ERRORS):
     _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
