@@ -103,8 +103,6 @@ def parse_estimators(text: str, default_cost: str = "c3") -> list[str]:
             raise ContractViolation(f"unknown estimator spec {part!r}")
         if label not in labels:
             labels.append(label)
-    if not labels:
-        raise ContractViolation("no estimators given")
     return labels
 
 
@@ -655,16 +653,20 @@ def _cmd_sweep(args) -> int:
         fresh_design=args.fresh_design == "true",
         workers=args.workers,
     )
-    records, summary = run_sweep(cfg)
     out = Path(args.out)
+    if out.is_dir():
+        raise ContractViolation(f"--out {out} is a directory")
+    summary_path = out.with_suffix(".summary.csv")  # never equals out: the stem is kept
+    svg_path = out.with_suffix(".svg")
+    if args.svg and out == svg_path:
+        raise ContractViolation(f"--out {out} is also the --svg chart path")
     out.parent.mkdir(parents=True, exist_ok=True)
+    records, summary = run_sweep(cfg)
     write_table(out, RECORDS_SCHEMA, records)
-    summary_path = out.with_suffix(".summary.csv")
     write_table(summary_path, SUMMARY_SCHEMA, summary)
     print(out)
     print(summary_path)
     if args.svg:
-        svg_path = out.with_suffix(".svg")
         write_sweep_svg(svg_path, summary, f"{cfg.axis} sweep, n={cfg.n}, p={cfg.p}")
         print(svg_path)
     for row in summary:
@@ -721,7 +723,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ContractViolation as exc:
+    except (ContractViolation, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericalFailure as exc:

@@ -42,7 +42,6 @@ from .tls import TlsFit, _fit, _objective, _observation_pair, tls_objective
 COST_KINDS = ("c1", "c2", "c3", "c4")
 
 BRUTE_FORCE_LIMIT = 9
-BRUTE_FORCE_CHUNK = 128  # permutations per table in brute force; bounds its memory at any n
 STALL_TOL = 1e-10  # relative; the only stop for ping-pong between exact ties
 
 
@@ -67,46 +66,28 @@ class EstimateResult:
     ols_residual_trace: list[float] | None = field(default=None)
 
 
-def _permutation_chunks(n: int):
-    """All n! permutations of 0..n-1 in itertools.permutations order, as
-    (rows, n) intp tables of at most BRUTE_FORCE_CHUNK rows each."""
-    perms = itertools.permutations(range(n))
-    while True:
-        chunk = itertools.islice(perms, BRUTE_FORCE_CHUNK)
-        flat = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, n)
-
-
 def brute_force_tls(y1, y2) -> EstimateResult:
     """Exact argmin of the rank-p residual over all n! row alignments.
 
     Refuses n > BRUTE_FORCE_LIMIT. Ties break to the lexicographically first permutation.
-    Raises NumericalFailure when no alignment has a finite residual. Each
-    chunk of permutations gathers its y1 rows at once; each permutation is
-    still scored by its own tls_objective call.
+    Raises NumericalFailure when no alignment has a finite residual.
     """
     m1, m2, n, _ = _observation_pair(y1, y2)
     if n > BRUTE_FORCE_LIMIT:
         raise ContractViolation(f"brute force refused for n={n} > limit={BRUTE_FORCE_LIMIT}")
     best_obj = np.inf
     best_perm = identity_permutation(n)
-    count = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in _permutation_chunks(n):
-            rows = m1[chunk]
-            for k in range(chunk.shape[0]):
-                obj = tls_objective(m2, rows[k])
-                if obj < best_obj:
-                    best_obj = obj
-                    best_perm = chunk[k].copy()  # a view would keep the chunk alive
-            count += chunk.shape[0]
+        for perm in itertools.permutations(range(n)):
+            obj = tls_objective(m2, m1.take(perm, axis=0))
+            if obj < best_obj:
+                best_obj = obj
+                best_perm = np.array(perm, dtype=np.intp)
     if not np.isfinite(best_obj):
         raise NumericalFailure("rank-p residual is not finite at any alignment")
     return EstimateResult(
         perm=best_perm,
-        iterations=count,
+        iterations=math.factorial(n),
         objective_trace=[best_obj],
         best_objective=best_obj,
         converged=True,

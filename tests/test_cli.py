@@ -309,6 +309,30 @@ class TestSweep:
         assert capsys.readouterr().err == "error: rotation angle must be finite, got inf\n"
         assert not out.exists()
 
+    def test_out_paths_checked_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        """An output path that cannot be written, or that the chart would
+        overwrite, is a usage error before any estimator runs."""
+        def no_solve(*args):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(cli, "_run_estimator", no_solve)
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        svg = tmp_path / "r.svg"
+        point = ("sweep", "--sweep", "noise", "--grid", 0.1, "--n", 12, "--trials", 1)
+        cases = [
+            (("--out", afile / "r.csv"), f"[Errno 17] File exists: '{afile}'"),
+            (("--out", svg, "--svg"), f"--out {svg} is also the --svg chart path"),
+            (("--out", tmp_path), f"--out {tmp_path} is a directory"),
+        ]
+        for extra, message in cases:
+            assert run(*point, *extra) == 1, extra
+            captured = capsys.readouterr()
+            assert captured.out == "", extra
+            assert captured.err == f"error: {message}\n", extra
+        assert afile.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_sigma_checked_against_p_on_noise_axis(self, tmp_path, capsys):
         inst = tmp_path / "inst"
         assert run("gen", "--n", 6, "--out", inst) == 0
@@ -330,7 +354,7 @@ class TestSweep:
             run_sweep(ExperimentConfig(axis="frequency", grid=[1.0], n=12, p=2, sigma=0.1,
                                        theta=60.0, trials=1, seed=0))
         # permutation specs, sweep axes, non-finite grids, angles and noise
-        # levels, and p < 1, for every command they reach
+        # levels, p < 1 and unusable paths, for every command they reach
         inst = tmp_path / "inst"
         assert run("gen", "--n", 6, "--seed", 1, "--out", inst) == 0
         capsys.readouterr()
@@ -339,6 +363,8 @@ class TestSweep:
             ((*sweep, "noise", "--grid", "0.1;0.2"), "bad grid '0.1;0.2'"),
             ((*sweep, "noise", "--grid", "0.1", "--estimator", "newton"),
              "unknown estimator spec 'newton'"),
+            ((*sweep, "noise", "--grid", "0.1", "--estimator", ","),
+             "unknown estimator spec ''"),
             ((*sweep, "n", "--grid", "10,12", "--estimator", "brute"),
              "brute estimator needs n <= 9 at every grid point"),
             ((*sweep, "noise", "--grid", "0.1", "--trials", 0), "trials must be >= 1"),
@@ -379,6 +405,9 @@ class TestSweep:
             (("bound", "--c", "nan"), "eta and c must be positive"),
             (("estimate", "--p", -1), "p must be >= 1"),
             (("gen", "--p", -1, "--out", inst), "p must be >= 1"),
+            (("gen", "--out", inst / "y1.csv"), f"[Errno 17] File exists: '{inst / 'y1.csv'}'"),
+            (("estimate", "--y1", inst, "--y2", inst / "y2.csv"),
+             f"[Errno 21] Is a directory: '{inst}'"),
         ]
         for argv, message in spec_errors:
             assert run(*argv) == 1, argv

@@ -8,7 +8,6 @@ stop at a fixed point."""
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from collections import Counter
 
@@ -119,49 +118,26 @@ class TestBruteForce:
         with pytest.raises(ContractViolation):
             brute_force_tls(np.ones((10, 1)), np.ones((10, 1)))
 
-    def test_permutation_chunks_follow_itertools_order(self, monkeypatch):
-        def table(n):
-            chunks = list(estimators._permutation_chunks(n))
-            assert all(c.dtype == np.intp and 1 <= len(c) <= estimators.BRUTE_FORCE_CHUNK
-                       for c in chunks)
-            return np.concatenate(chunks)
-
-        assert math.factorial(8) > estimators.BRUTE_FORCE_CHUNK
-        for n in range(1, 9):
-            assert np.array_equal(table(n), list(itertools.permutations(range(n))))
-        monkeypatch.setattr(estimators, "BRUTE_FORCE_CHUNK", 7)
-        for n in range(1, 6):
-            assert np.array_equal(table(n), list(itertools.permutations(range(n))))
-
-    def test_scores_every_permutation_once_in_order_across_chunks(self, monkeypatch):
-        """One public tls_objective call per permutation, in enumeration order,
-        across chunk boundaries; the result does not depend on the chunk size
-        and the returned perm shares no buffer."""
+    def test_scores_every_permutation_once_in_order(self, monkeypatch):
+        """One public tls_objective call per permutation, in
+        itertools.permutations order; the returned perm owns its buffer."""
         _, _, y1, y2 = noisy_instance(7, sigma=0.3, seed=74)
         expected = brute_force_tls(y1, y2)
         row_of = {v: i for i, v in enumerate(y1[:, 0])}
-        scored, tables = [], []
-        real_objective, real_chunks = estimators.tls_objective, estimators._permutation_chunks
+        scored = []
+        real_objective = estimators.tls_objective
 
         def objective(m2, y1p):
             scored.append(tuple(row_of[v] for v in y1p[:, 0]))
             return real_objective(m2, y1p)
 
-        def chunks(n):
-            for c in real_chunks(n):
-                tables.append(c)
-                yield c
-
-        monkeypatch.setattr(estimators, "BRUTE_FORCE_CHUNK", 1000)
         monkeypatch.setattr(estimators, "tls_objective", objective)
-        monkeypatch.setattr(estimators, "_permutation_chunks", chunks)
         res = brute_force_tls(y1, y2)
         assert scored == list(itertools.permutations(range(7)))
-        assert res.iterations == 5040 and len(tables) == 6
+        assert res.iterations == 5040
         assert np.array_equal(res.perm, expected.perm)
         assert res.best_objective == expected.best_objective
-        assert res.perm.base is None
-        assert not any(np.shares_memory(res.perm, t) for t in tables)
+        assert res.perm.dtype == np.intp and res.perm.base is None
 
 
 class TestBuildCost:

@@ -84,7 +84,9 @@ USAGE_ERRORS = [
     ["bruteforce", "--n", "10"],
     ["lemma", "--kind", "procrustes", "--trials", "0"],
     ["lemma", "--kind", "eigtail", "--n", "-5"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--estimator", ","],
 ]
+SWEEP_POINT = ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--trials", "1"]
 
 COMMANDS: dict[str, list[list[str]]] = {
     f"sweep-{name}": [["sweep", *argv, "--out", "records.csv"]] for name, argv in SWEEPS.items()
@@ -120,6 +122,11 @@ COMMANDS.update({
     "usage-noise-axis-sigma-p3": [GEN_B, ["sweep", "--sweep", "noise", "--grid", "0.1",
                                           "--n", "12", "--p", "3", "--sigma", "B/sigma.csv",
                                           "--trials", "2", "--out", "records.csv"]],
+    "usage-sweep-out-under-file": [GEN_A, SWEEP_POINT + ["--out", "A/y1.csv/r.csv"]],
+    "usage-sweep-out-is-svg": [SWEEP_POINT + ["--out", "r.svg", "--svg"]],
+    "usage-sweep-out-is-dir": [SWEEP_POINT + ["--out", "."]],
+    "usage-gen-out-is-file": [GEN_A, ["gen", "--out", "A/y1.csv"]],
+    "usage-estimate-dir-input": [GEN_A, ["estimate", "--y1", "A", "--y2", "A/y2.csv"]],
 })
 for _i, _argv in enumerate(USAGE_ERRORS):
     _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
