@@ -54,6 +54,7 @@ from .model import (
 from .tls import tls_objective
 
 SWEEP_AXES = ("noise", "n", "snr", "shuffle")
+ESTIMATOR_LABELS = tuple(f"alta_{kind}" for kind in COST_KINDS) + ("aloa", "brute")
 RECORDS_SCHEMA = "# schema: tlsperm-sweep-v1"
 SUMMARY_SCHEMA = "# schema: tlsperm-summary-v1"
 BOUND_SCHEMA = "# schema: tlsperm-bound-v1"
@@ -62,8 +63,9 @@ LEMMA_SCHEMA = "# schema: tlsperm-lemma-v1"
 
 @dataclass
 class ExperimentConfig:
-    """One sweep: vary `axis` over `grid`, run `trials` per point; `_sweep_points`
-    states what each axis means."""
+    """One sweep: vary `axis` over `grid`, run `trials` per point. Construction
+    validates it and resolves `points` by `_sweep_points`, which states what
+    each axis means."""
 
     axis: str
     grid: list[float]
@@ -77,22 +79,24 @@ class ExperimentConfig:
     init: str = "truth"
     fresh_design: bool = True
     workers: int = 1
+    points: list[tuple[int, np.ndarray, str]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.points = _sweep_points(self)
 
 
-def parse_estimators(text: str, default_cost: str = "c3") -> list[str]:
+def parse_estimators(text: str) -> list[str]:
     """Comma list of estimator specs into canonical labels.
 
-    `alta` uses the default cost kind; `alta:cK` pins one; `aloa` and `brute`
-    stand alone. Labels come out as alta_cK, aloa, brute.
+    `alta` uses cost kind c3; `alta:cK` pins one; `aloa` and `brute` stand
+    alone. Labels come out as alta_cK, aloa, brute.
     """
-    if default_cost not in COST_KINDS:
-        raise ContractViolation(f"unknown cost kind {default_cost!r}")
     labels: list[str] = []
     for part in text.split(","):
         part = part.strip()
         if part == "alta":
-            label = f"alta_{default_cost}"
-        elif part.startswith(("alta:", "alta_")):
+            label = "alta_c3"
+        elif part.startswith("alta:"):
             kind = part[len("alta:"):]
             if kind not in COST_KINDS:
                 raise ContractViolation(f"unknown cost kind {kind!r} in estimator spec {part!r}")
@@ -174,7 +178,9 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
     if cfg.p < 1:
         raise ContractViolation("p must be >= 1")
     _start_size(cfg.init)
-    parse_estimators(",".join(cfg.estimators))
+    if not cfg.estimators or not set(cfg.estimators) <= set(ESTIMATOR_LABELS):
+        raise ContractViolation(
+            f"estimators must be labels from {ESTIMATOR_LABELS}, got {cfg.estimators}")
     sized = cfg.axis in ("n", "snr")
     if not sized and cfg.n < 2 * cfg.p:
         raise ContractViolation(f"need n >= 2p, got n={cfg.n}, p={cfg.p}")
@@ -265,8 +271,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     Trials run on cfg.workers threads; map keeps their order, and an
     interrupt cancels the trials that have not started.
     """
-    points = _sweep_points(cfg)
-    tasks = [(gi, ti, *point) for gi, point in enumerate(points) for ti in range(cfg.trials)]
+    tasks = [(gi, ti, *point) for gi, point in enumerate(cfg.points) for ti in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         chunks = list(pool.map(lambda t: _run_single_trial(cfg, *t), tasks))
     records = [rec for chunk in chunks for rec in chunk]
@@ -518,8 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truth-x", type=str, help="design CSV for loss reporting")
     sp.add_argument("--truth-perm", type=str, help="true permutation file")
     sp.add_argument("--estimator", type=str, default="alta",
-                    choices=["alta", "aloa", "brute"])
-    sp.add_argument("--cost", type=str, default="c3", choices=list(COST_KINDS))
+                    help="one of alta (cost c3), alta:cK, aloa, brute")
     sp.add_argument("--init", type=str, default="identity",
                     help="truth, identity, random, or partial=K")
     sp.add_argument("--out", type=str, help="write the estimated permutation here")
@@ -533,9 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated grid values")
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--estimator", type=str, default="alta",
-                    help="comma list: alta, alta:cK, aloa, brute")
-    sp.add_argument("--cost", type=str, default="c3", choices=list(COST_KINDS),
-                    help="cost kind for bare alta specs")
+                    help="comma list: alta (cost c3), alta:cK, aloa, brute")
     sp.add_argument("--init", type=str, default="truth",
                     help="truth, identity, random, or partial=K")
     sp.add_argument("--fresh-design", type=str, default="true",
@@ -609,6 +611,9 @@ def _report(x, pi_star, perm, out) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    if "," in args.estimator:
+        raise ContractViolation(f"estimate takes one estimator spec, got {args.estimator!r}")
+    label = parse_estimators(args.estimator)[0]
     if (args.y1 is None) != (args.y2 is None):
         raise ContractViolation("--y1 and --y2 must be given together")
     if args.y1 is not None:
@@ -626,7 +631,6 @@ def _cmd_estimate(args) -> int:
         y1, y2, x, pi_star = obs.y1, obs.y2, inst.x, inst.pi_star
     n = y1.shape[0]
     init = _resolve_permutation(args.init, n, stream(args.seed, 1), truth=pi_star)
-    label = parse_estimators(args.estimator, args.cost)[0]
     result = _run_estimator(label, y1, y2, init)
     print(f"estimator: {label}")
     print(f"objective: {format_float(result.best_objective)}")
@@ -648,7 +652,7 @@ def _cmd_sweep(args) -> int:
         theta=args.theta,
         trials=args.trials,
         seed=args.seed,
-        estimators=parse_estimators(args.estimator, args.cost),
+        estimators=parse_estimators(args.estimator),
         init=args.init,
         fresh_design=args.fresh_design == "true",
         workers=args.workers,
@@ -660,6 +664,9 @@ def _cmd_sweep(args) -> int:
     svg_path = out.with_suffix(".svg")
     if args.svg and out == svg_path:
         raise ContractViolation(f"--out {out} is also the --svg chart path")
+    for path in (summary_path, svg_path) if args.svg else (summary_path,):
+        if path.is_dir():
+            raise ContractViolation(f"{path} is a directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     records, summary = run_sweep(cfg)
     write_table(out, RECORDS_SCHEMA, records)

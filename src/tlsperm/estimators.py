@@ -11,8 +11,8 @@ Three routes to a row alignment between y2 and y1:
 Both iterative schemes run on one engine, ``_alternate``, and supply only a
 fit step and a cost step. Both descend: an exact assignment minimises a
 majoriser of the rank-p residual, and the least-squares scheme is
-block-coordinate descent. The engine stops at a fixed point, a stall, max_iter
-or a degenerate fit. A non-finite objective or cost matrix (inputs so large
+block-coordinate descent. The engine stops at a fixed point, a stall, MAX_ITER
+fits or a degenerate fit. A non-finite objective or cost matrix (inputs so large
 that squares overflow) raises NumericalFailure; numpy's overflow warnings are
 silenced on the way, since the failure itself reports them.
 
@@ -43,6 +43,7 @@ COST_KINDS = ("c1", "c2", "c3", "c4")
 
 BRUTE_FORCE_LIMIT = 9
 STALL_TOL = 1e-10  # relative; the only stop for ping-pong between exact ties
+MAX_ITER = 50  # fits per alternation
 
 
 @dataclass
@@ -143,16 +144,14 @@ def _check_kind(kind: str) -> None:
         raise ContractViolation(f"unknown cost kind {kind!r}, expected one of {COST_KINDS}")
 
 
-def _start(y1, y2, init, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _start(y1, y2, init) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate the inputs shared by the iterative schemes: (y1, y2, first perm)."""
-    if max_iter < 1:
-        raise ContractViolation("max_iter must be >= 1")
     m1, m2, n, _ = _observation_pair(y1, y2)
     pi = identity_permutation(n) if init is None else as_permutation(init, n)
     return m1, m2, pi
 
 
-def _alternate(m1, pi, fit, cost, max_iter: int) -> tuple[EstimateResult, list[float]]:
+def _alternate(m1, pi, fit, cost) -> tuple[EstimateResult, list[float]]:
     """Alternate fit and assignment from pi; return the result and the trace
     of the selection metric.
 
@@ -161,7 +160,7 @@ def _alternate(m1, pi, fit, cost, max_iter: int) -> tuple[EstimateResult, list[f
     gives the assignment cost, whose assignment a makes pi[a] the next
     permutation. Each step descends, so an assignment can only revisit the
     current permutation. Stops at that fixed point, when the metric improves by
-    at most STALL_TOL (relative), after max_iter fits, or on a degenerate fit,
+    at most STALL_TOL (relative), after MAX_ITER fits, or on a degenerate fit,
     which sets the failure marker.
     """
     perms: list[np.ndarray] = []
@@ -170,7 +169,7 @@ def _alternate(m1, pi, fit, cost, max_iter: int) -> tuple[EstimateResult, list[f
     converged = False
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(max_iter):
+        for it in range(MAX_ITER):
             perms.append(pi)
             y1p = m1[pi]
             score, objective, model = fit(y1p)
@@ -200,16 +199,16 @@ def _alternate(m1, pi, fit, cost, max_iter: int) -> tuple[EstimateResult, list[f
     return result, scores
 
 
-def alta(y1, y2, kind: str = "c3", init=None, max_iter: int = 50) -> EstimateResult:
+def alta(y1, y2, kind: str = "c3", init=None) -> EstimateResult:
     """Alternate the rank-p fit with a linear assignment over cost `kind`.
 
     Each exact assignment minimises a majoriser of the rank-p objective, so it
     never rises. Stops at a fixed point, on a relative improvement of at most
-    STALL_TOL, after max_iter fits, or on a degenerate fit, which sets a
+    STALL_TOL, after MAX_ITER fits, or on a degenerate fit, which sets a
     failure marker instead of raising. Returns the best recorded iterate.
     """
     _check_kind(kind)
-    m1, m2, pi = _start(y1, y2, init, max_iter)
+    m1, m2, pi = _start(y1, y2, init)
 
     def fit(y1p):
         try:
@@ -222,10 +221,10 @@ def alta(y1, y2, kind: str = "c3", init=None, max_iter: int = 50) -> EstimateRes
     def cost(f: TlsFit, y1p: np.ndarray) -> np.ndarray:
         return _cost(kind, f.x_hat, f.r_hat, y1p, m2)
 
-    return _alternate(m1, pi, fit, cost, max_iter)[0]
+    return _alternate(m1, pi, fit, cost)[0]
 
 
-def aloa(y1, y2, init=None, max_iter: int = 50) -> EstimateResult:
+def aloa(y1, y2, init=None) -> EstimateResult:
     """Alternate an ordinary-least-squares fit with a linear assignment.
 
     Treats y1 as a noise-free design: r solves min ||y1[pi] r - y2||_F and the
@@ -233,7 +232,7 @@ def aloa(y1, y2, init=None, max_iter: int = 50) -> EstimateResult:
     use the least-squares residual; the rank-p objective is recorded alongside
     for comparison with the other estimators.
     """
-    m1, m2, pi = _start(y1, y2, init, max_iter)
+    m1, m2, pi = _start(y1, y2, init)
     sv = _singular_values(m1)
     if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise RankDeficient("y1 must have full column rank for the least-squares route")
@@ -246,6 +245,6 @@ def aloa(y1, y2, init=None, max_iter: int = 50) -> EstimateResult:
     def cost(r_hat: np.ndarray, y1p: np.ndarray) -> np.ndarray:
         return cdist(m2, y1p @ r_hat, "sqeuclidean")
 
-    result, residuals = _alternate(m1, pi, fit, cost, max_iter)
+    result, residuals = _alternate(m1, pi, fit, cost)
     result.ols_residual_trace = residuals
     return result

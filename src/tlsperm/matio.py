@@ -28,7 +28,10 @@ def write_matrix(path, a) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except ValueError as exc:  # bytes that do not decode as text
+        raise ContractViolation(f"{path}: not a text matrix file") from exc
     if not lines:
         raise ContractViolation(f"{path}: empty matrix file")
     head = lines[0].split(",")
@@ -45,7 +48,10 @@ def read_matrix(path) -> np.ndarray:
         toks = line.split(",")
         if len(toks) != cols:
             raise ContractViolation(f"{path}: row with {len(toks)} entries, expected {cols}")
-        data.append([float(t) for t in toks])
+        try:
+            data.append([float(t) for t in toks])
+        except ValueError as exc:
+            raise ContractViolation(f"{path}: {exc}") from exc
     return as_matrix(np.array(data), f"{path} contents")
 
 

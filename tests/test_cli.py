@@ -3,6 +3,7 @@ their exit-code contract, and sweeps rerun byte-identically once the timing
 column is stripped."""
 from __future__ import annotations
 
+import re
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,10 @@ import pytest
 from tlsperm import cli
 from tlsperm.cli import main
 from tlsperm.errors import ContractViolation
+from tlsperm.estimators import alta
+from tlsperm.evaluation import hamming_distance, procrustes_loss, quadratic_loss
 from tlsperm.matio import (
+    format_float,
     read_matrix,
     read_permutation,
     write_matrix,
@@ -60,11 +64,12 @@ class TestMatio:
             "rows.csv": "2,2\n1,2\n",
             "cols.csv": "1,3\n1,2\n",
             "tok.csv": "1,2\n1,zap\n",
+            "binary.csv": bytes(range(256)),
         }
         for name, text in cases.items():
             path = tmp_path / name
-            path.write_text(text)
-            with pytest.raises((ContractViolation, ValueError)):
+            path.write_bytes(text.encode() if isinstance(text, str) else text)
+            with pytest.raises(ContractViolation, match=f"^{re.escape(str(path))}: "):
                 read_matrix(path)
 
     def test_bad_permutation_file_rejected(self, tmp_path):
@@ -110,12 +115,36 @@ class TestEstimate:
     def test_generated_instance_reports_losses(self, tmp_path, capsys):
         perm_out = tmp_path / "perm.txt"
         assert run("estimate", "--n", 10, "--sigma", 0.05, "--seed", 3,
-                   "--estimator", "alta", "--cost", "c3", "--out", perm_out) == 0
+                   "--estimator", "alta:c3", "--out", perm_out) == 0
         fields = stdout_fields(capsys)
         assert fields["estimator"] == "alta_c3"
         assert float(fields["objective"]) >= 0.0
         assert "procrustes_loss" in fields
         assert read_permutation(perm_out).size == 10
+
+    @pytest.mark.parametrize("kind", ["c1", "c2", "c3", "c4"])
+    def test_alta_spec_pins_cost_kind(self, tmp_path, capsys, kind):
+        """`--estimator alta:cK` prints exactly what alta(kind=cK) returns."""
+        inst = tmp_path / "inst"
+        assert run("gen", "--n", 20, "--sigma", 0.3, "--perm", "random",
+                   "--seed", 4, "--out", inst) == 0
+        capsys.readouterr()
+        y1, y2 = read_matrix(inst / "y1.csv"), read_matrix(inst / "y2.csv")
+        x, pi_star = read_matrix(inst / "x.csv"), read_permutation(inst / "pi_star.txt")
+        assert run("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv",
+                   "--truth-x", inst / "x.csv", "--truth-perm", inst / "pi_star.txt",
+                   "--estimator", f"alta:{kind}", "--init", "identity") == 0
+        res = alta(y1, y2, kind=kind)
+        expected = [
+            f"estimator: alta_{kind}",
+            f"objective: {format_float(res.best_objective)}",
+            f"iterations: {res.iterations}",
+            f"converged: {res.converged}",
+            f"procrustes_loss: {format_float(procrustes_loss(x, pi_star, res.perm))}",
+            f"quadratic_loss: {format_float(quadratic_loss(x, pi_star, res.perm))}",
+            f"hamming: {hamming_distance(pi_star, res.perm)}",
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_file_route_with_truth_recovers_noiseless(self, tmp_path, capsys):
         inst = tmp_path / "inst"
@@ -177,13 +206,11 @@ class TestEstimate:
         for name in ("y1.csv", "y2.csv"):
             write_matrix(tmp_path / name, read_matrix(inst / name) * 1e200)
         capfd.readouterr()
-        for estimator in (("alta", "--cost", "c1"), ("alta", "--cost", "c2"),
-                          ("alta", "--cost", "c3"), ("alta", "--cost", "c4"),
-                          ("aloa",), ("brute",)):
+        for estimator in ("alta:c1", "alta:c2", "alta:c3", "alta:c4", "aloa", "brute"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = run("estimate", "--y1", tmp_path / "y1.csv",
-                           "--y2", tmp_path / "y2.csv", "--estimator", *estimator)
+                           "--y2", tmp_path / "y2.csv", "--estimator", estimator)
             err = capfd.readouterr().err
             assert code == 2, estimator
             assert [str(w.message) for w in caught] == [], estimator
@@ -310,28 +337,40 @@ class TestSweep:
         assert not out.exists()
 
     def test_out_paths_checked_before_any_trial(self, tmp_path, capsys, monkeypatch):
-        """An output path that cannot be written, or that the chart would
-        overwrite, is a usage error before any estimator runs."""
+        """An output path that cannot be written, that the chart would
+        overwrite, or whose derived summary or chart path is a directory, is a
+        usage error before any estimator runs; so is a refused option, and
+        neither leaves a file or directory behind."""
         def no_solve(*args):
             raise AssertionError("an estimator ran")
 
         monkeypatch.setattr(cli, "_run_estimator", no_solve)
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
+        (tmp_path / "s" / "r.summary.csv").mkdir(parents=True)
+        (tmp_path / "v" / "r.svg").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
         svg = tmp_path / "r.svg"
-        point = ("sweep", "--sweep", "noise", "--grid", 0.1, "--n", 12, "--trials", 1)
+        deep = tmp_path / "nd" / "deep" / "r.csv"
+        point = ("sweep", "--sweep", "noise", "--grid", 0.1, "--n", 12)
         cases = [
             (("--out", afile / "r.csv"), f"[Errno 17] File exists: '{afile}'"),
             (("--out", svg, "--svg"), f"--out {svg} is also the --svg chart path"),
             (("--out", tmp_path), f"--out {tmp_path} is a directory"),
+            (("--out", tmp_path / "s" / "r.csv"),
+             f"{tmp_path / 's' / 'r.summary.csv'} is a directory"),
+            (("--out", tmp_path / "v" / "r.csv", "--svg"),
+             f"{tmp_path / 'v' / 'r.svg'} is a directory"),
+            (("--out", deep, "--trials", 0), "trials must be >= 1"),
+            (("--out", deep, "--theta", "inf"), "rotation angle must be finite, got inf"),
         ]
         for extra, message in cases:
-            assert run(*point, *extra) == 1, extra
+            assert run(*point, "--trials", 1, *extra) == 1, extra
             captured = capsys.readouterr()
             assert captured.out == "", extra
             assert captured.err == f"error: {message}\n", extra
         assert afile.read_text() == "keep\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_sigma_checked_against_p_on_noise_axis(self, tmp_path, capsys):
         inst = tmp_path / "inst"
@@ -349,17 +388,37 @@ class TestSweep:
                    "--out", out) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             "error: argument --sweep: invalid choice: 'frequency'")
+        for command in (("estimate",), ("sweep", "--sweep", "noise", "--grid", "0.1")):
+            assert run(*command, "--cost", "c1", "--out", out) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "error: unrecognized arguments: --cost c1")
         from tlsperm.cli import ExperimentConfig, run_sweep
         with pytest.raises(ContractViolation, match="^unknown sweep axis 'frequency'$"):
             run_sweep(ExperimentConfig(axis="frequency", grid=[1.0], n=12, p=2, sigma=0.1,
                                        theta=60.0, trials=1, seed=0))
+        # labels, not specs: the alta_cK spelling is not re-parsed
+        with pytest.raises(ContractViolation, match="^estimators must be labels from"):
+            run_sweep(ExperimentConfig(axis="noise", grid=[0.1], n=12, p=2, sigma=0.1,
+                                       theta=60.0, trials=1, seed=0, estimators=["alta_c9"]))
         # permutation specs, sweep axes, non-finite grids, angles and noise
         # levels, p < 1 and unusable paths, for every command they reach
         inst = tmp_path / "inst"
         assert run("gen", "--n", 6, "--seed", 1, "--out", inst) == 0
         capsys.readouterr()
+        cell, binary = tmp_path / "cell.csv", tmp_path / "binary.csv"
+        cell.write_text("2,2\n1,x\n3,4\n")
+        binary.write_bytes(bytes(range(256)))
         sweep = ("sweep", "--out", out, "--sweep")
         spec_errors = [
+            (("estimate", "--estimator", "alta,aloa"),
+             "estimate takes one estimator spec, got 'alta,aloa'"),
+            (("estimate", "--estimator", "alta:c9"),
+             "unknown cost kind 'c9' in estimator spec 'alta:c9'"),
+            ((*sweep, "noise", "--grid", "0.1", "--estimator", "alta_c1"),
+             "unknown estimator spec 'alta_c1'"),
+            (("estimate", "--y1", cell, "--y2", cell),
+             f"{cell}: could not convert string to float: 'x'"),
+            (("estimate", "--y1", binary, "--y2", binary), f"{binary}: not a text matrix file"),
             ((*sweep, "noise", "--grid", "0.1;0.2"), "bad grid '0.1;0.2'"),
             ((*sweep, "noise", "--grid", "0.1", "--estimator", "newton"),
              "unknown estimator spec 'newton'"),

@@ -255,16 +255,17 @@ class TestAlta:
             assert res.best_objective == pytest.approx(
                 tls_objective(y2, y1[res.perm]), abs=1e-12)
 
-    def test_iteration_budget_respected(self):
+    def test_iteration_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_ITER", 3)
         _, _, y1, y2 = noisy_instance(12, sigma=0.6, seed=86)
-        res = alta(y1, y2, kind="c3", init=random_permutation(12, stream(87)),
-                   max_iter=3)
+        res = alta(y1, y2, kind="c3", init=random_permutation(12, stream(87)))
         assert 1 <= res.iterations <= 3
         assert len(res.objective_trace) == res.iterations
 
-    def test_single_iteration_allowed(self):
+    def test_single_iteration_allowed(self, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_ITER", 1)
         _, _, y1, y2 = noisy_instance(8, sigma=0.2, seed=88)
-        res = alta(y1, y2, kind="c2", max_iter=1)
+        res = alta(y1, y2, kind="c2")
         assert res.iterations == 1
 
     def test_degenerate_fit_marks_failure_and_keeps_best(self):
@@ -275,12 +276,10 @@ class TestAlta:
         assert np.array_equal(res.perm, np.arange(6))
         assert len(res.objective_trace) == 1
 
-    def test_rejects_bad_kind_and_bad_max_iter(self):
+    def test_rejects_bad_kind(self):
         _, _, y1, y2 = noisy_instance(6, sigma=0.1, seed=90)
         with pytest.raises(ContractViolation):
             alta(y1, y2, kind="c9")
-        with pytest.raises(ContractViolation):
-            alta(y1, y2, kind="c1", max_iter=0)
 
     def test_beats_ols_alternation_at_strong_noise(self):
         # same data for both estimators, mean loss over ten draws
@@ -409,12 +408,13 @@ class TestValidationAtBoundary:
         _, _, y1, y2 = noisy_instance(40, sigma=0.1, seed=4)
         init = random_permutation(40, stream(4, 1))
         counts = []
-        for max_iter in (1, 50):
+        for cap in (1, estimators.MAX_ITER):
             calls, laps = self.count_validation(monkeypatch)
+            monkeypatch.setattr(estimators, "MAX_ITER", cap)
             if estimator == "aloa":
-                res = aloa(y1, y2, init=init, max_iter=max_iter)
+                res = aloa(y1, y2, init=init)
             else:
-                res = alta(y1, y2, kind=estimator, init=init, max_iter=max_iter)
+                res = alta(y1, y2, kind=estimator, init=init)
             monkeypatch.undo()
             lap_calls = calls.pop(("tlsperm.lap", "as_matrix"), 0)
             assert lap_calls == len(laps)

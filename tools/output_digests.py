@@ -3,7 +3,8 @@
 Runs each command through ``python3 -m tlsperm.cli`` with the package taken
 from ``--src``, each in its own directory under a fresh temporary directory,
 with one BLAS thread. Prints one ``name sha256`` line per artifact: the
-command's stdout, stderr and exit code, and every file it wrote. Sweep records
+command's stdout, stderr and exit code, and every file in its directory
+afterwards: what it wrote and any fixed input it started from. Sweep records
 are hashed without their last (wall_ms) column. Compare two trees with
 
     python3 tools/output_digests.py --src OLD/src > old.txt
@@ -28,7 +29,7 @@ ALL_ALTA = "alta:c1,alta:c2,alta:c3,alta:c4,aloa"
 
 # Each command is a list of argv steps run in one directory, with outputs at
 # relative paths there; its artifacts are the last step's streams and exit
-# code, and every file any step wrote.
+# code, and every file any step wrote or INPUTS put there.
 SWEEPS = {
     "crit9": ["--sweep", "noise", "--grid", "0.1,0.3", "--n", "12", "--trials", "5",
               "--seed", "33", "--estimator", "alta:c3,aloa", "--init", "random"],
@@ -85,17 +86,21 @@ USAGE_ERRORS = [
     ["lemma", "--kind", "procrustes", "--trials", "0"],
     ["lemma", "--kind", "eigtail", "--n", "-5"],
     ["sweep", "--sweep", "noise", "--grid", "0.1", "--estimator", ","],
+    ["estimate", "--estimator", "alta,aloa"],
+    ["estimate", "--estimator", "alta:c9"],
+    ["estimate", "--cost", "c1"],
+    ["sweep", "--sweep", "noise", "--grid", "0.1", "--estimator", "alta_c1"],
 ]
 SWEEP_POINT = ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--trials", "1"]
 
 COMMANDS: dict[str, list[list[str]]] = {
     f"sweep-{name}": [["sweep", *argv, "--out", "records.csv"]] for name, argv in SWEEPS.items()
 }
-for _est in ("alta --cost c1", "alta --cost c2", "alta --cost c3", "alta --cost c4", "aloa"):
+for _est in ("alta:c1", "alta:c2", "alta:c3", "alta:c4", "aloa"):
     for _init in ("truth", "identity", "random", "partial=5"):
-        COMMANDS[f"estimate-{_est.replace(' --cost ', '-')}-{_init}"] = [[
+        COMMANDS[f"estimate-{_est.replace(':', '-')}-{_init}"] = [[
             "estimate", "--n", "20", "--sigma", "0.1", "--seed", "4",
-            "--estimator", *_est.split(), "--init", _init]]
+            "--estimator", _est, "--init", _init]]
 COMMANDS.update({
     "estimate-brute": [["estimate", "--n", "7", "--sigma", "0.1", "--estimator", "brute"]],
     "estimate-out": [["estimate", "--n", "30", "--seed", "9", "--out", "perm.txt"]],
@@ -127,7 +132,18 @@ COMMANDS.update({
     "usage-sweep-out-is-dir": [SWEEP_POINT + ["--out", "."]],
     "usage-gen-out-is-file": [GEN_A, ["gen", "--out", "A/y1.csv"]],
     "usage-estimate-dir-input": [GEN_A, ["estimate", "--y1", "A", "--y2", "A/y2.csv"]],
+    "usage-estimate-bad-cell": [["estimate", "--y1", "cell.csv", "--y2", "cell.csv"]],
+    "usage-estimate-binary": [["estimate", "--y1", "binary.csv", "--y2", "binary.csv"]],
+    "usage-sweep-summary-is-dir": [["gen", "--n", "6", "--out", "r.summary.csv"],
+                                   SWEEP_POINT + ["--out", "r.csv"]],
+    "usage-sweep-svg-is-dir": [["gen", "--n", "6", "--out", "r.svg"],
+                               SWEEP_POINT + ["--out", "r.csv", "--svg"]],
 })
+# files a command's directory holds before its first step
+INPUTS = {
+    "usage-estimate-bad-cell": {"cell.csv": b"2,2\n1,x\n3,4\n"},
+    "usage-estimate-binary": {"binary.csv": bytes(range(256))},
+}
 for _i, _argv in enumerate(USAGE_ERRORS):
     _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
     COMMANDS[f"usage-{_i:02d}-{_argv[0]}"] = [_argv + _out]
@@ -153,6 +169,8 @@ def run_all(src: Path, root: Path) -> list[tuple[str, str]]:
     for name, steps in COMMANDS.items():
         cwd = root / name
         cwd.mkdir()
+        for fname, data in INPUTS.get(name, {}).items():
+            (cwd / fname).write_bytes(data)
         for argv in steps:
             proc = subprocess.run([sys.executable, "-m", "tlsperm.cli", *argv], cwd=cwd,
                                   env=env, capture_output=True, timeout=600)
