@@ -35,7 +35,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ContractViolation, DegenerateFit, NumericalFailure, RankDeficient
 from .lap import solve_lap
-from .linalg import _singular_values, as_matrix
+from .linalg import _singular_values, _solve, as_matrix
 from .model import as_permutation, identity_permutation
 from .tls import TlsFit, _fit, _objective, _observation_pair, tls_objective
 
@@ -132,8 +132,8 @@ def _cost(kind: str, x_hat: np.ndarray, r_hat: np.ndarray,
     # minimum equals ||y2_i||^2 + ||y1_j||^2 - (u_i+v_j).T m^{-1} (u_i+v_j).
     m = r_hat @ r_hat.T + np.eye(m1.shape[1])
     u = m2 @ r_hat.T
-    mu = np.linalg.solve(m, u.T).T
-    mv = np.linalg.solve(m, m1.T).T
+    mu = _solve(m, u.T).T
+    mv = _solve(m, m1.T).T
     quad_u = np.einsum("ij,ij->i", m2, m2) - np.einsum("ij,ij->i", u, mu)
     quad_v = np.einsum("ij,ij->i", m1, m1) - np.einsum("ij,ij->i", m1, mv)
     return quad_u[:, None] + quad_v[None, :] - 2.0 * (u @ mv.T)
@@ -188,7 +188,7 @@ def _alternate(m1, pi, fit, cost) -> tuple[EstimateResult, list[float]]:
                 raise NumericalFailure("cost matrix is not finite; the inputs may overflow")
             assignment, _ = solve_lap(c)
             pi_next = pi[assignment]
-            if np.array_equal(pi_next, pi):
+            if (pi_next == pi).all():
                 converged = True
                 break
             pi = pi_next

@@ -3,14 +3,27 @@
 Everything downstream assumes the conventions fixed here: thin factorizations,
 singular values and eigenvalues sorted descending, and a deterministic sign for
 singular vectors so repeated runs produce identical factors.
+
+The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
+directly, bound once below: ``dgesdd`` for the thin SVD and for singular
+values alone, ``dgesv`` for square solves. At the sizes used here the
+``numpy.linalg`` wrappers cost more than the LAPACK work. The drivers return
+Fortran-ordered arrays; every kernel here returns C-ordered ones, as
+``numpy.linalg`` does, because later reductions and products sum in memory
+order and outputs must not depend on the route. A nonzero LAPACK ``info``
+raises NumericalFailure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ContractViolation, NumericalFailure
+
+_gesdd = lapack.dgesdd
+_gesv = lapack.dgesv
 
 _RANK_TOL = 1e-12
 
@@ -52,13 +65,18 @@ def _svd(arr: np.ndarray) -> SvdResult:
     equal a column-by-column negation bit for bit). A pivot entry is never
     zero, as the columns of u have unit norm.
     """
-    try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"svd did not converge: {exc}") from exc
+    u, s, v = _svd_factors(arr)
     pivots = np.abs(u).argmax(axis=0)
     signs = np.copysign(1.0, u[pivots, np.arange(s.shape[0])])
-    return SvdResult(u=u * signs, s=s, v=vt.T * signs)
+    return SvdResult(u=u * signs, s=s, v=v * signs)
+
+
+def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw thin factors (u, s, v) of a validated matrix, a = u @ diag(s) @ v.T,
+    C-ordered, with the signs LAPACK chose."""
+    u, s, vt, info = _gesdd(arr, compute_uv=1, full_matrices=0)
+    _check_info("dgesdd", info)
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt.T)
 
 
 def singular_values(a) -> np.ndarray:
@@ -68,10 +86,23 @@ def singular_values(a) -> np.ndarray:
 
 def _singular_values(arr: np.ndarray) -> np.ndarray:
     """singular_values() on an array that is already a validated matrix."""
-    try:
-        return np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"svd did not converge: {exc}") from exc
+    _, s, _, info = _gesdd(arr, compute_uv=0)
+    _check_info("dgesdd", info)
+    return s
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b for a validated square a and a matrix b, C-ordered."""
+    _, _, x, info = _gesv(a, b)
+    _check_info("dgesv", info)
+    return np.ascontiguousarray(x)
+
+
+def _check_info(driver: str, info: int) -> None:
+    """Turn a nonzero LAPACK info into NumericalFailure: positive info is a
+    failed convergence or an exactly singular factor, negative a bad argument."""
+    if info != 0:
+        raise NumericalFailure(f"{driver} failed with info={info}")
 
 
 def sym_eigvals(a) -> np.ndarray:

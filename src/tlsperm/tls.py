@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateFit
-from .linalg import _singular_values, _svd, as_matrix
+from .linalg import _singular_values, _solve, _svd_factors, as_matrix
 
 
 def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -69,14 +69,22 @@ def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
     truncation has blocks y2_hat = U_p S_p A.T and x_hat = U_p S_p B.T. As U_p
     has orthonormal columns, x_hat has the singular values of the p x p
     matrix S_p B.T, and x_hat @ r = y2_hat reduces to B.T @ r = A.T.
+
+    The raw LAPACK factors are used without the sign rule of svd(). Flipping
+    column k of U and of V multiplies U_p, A and B on the right by one
+    D = diag(+-1), and D^2 = I, so x_hat = U_p D S_p D B.T and
+    r_hat = (D B.T)^-1 (D A.T) are unchanged. They are unchanged bit for bit:
+    negation is exact, each product in x_hat meets the sign twice, and the LU
+    factorization of D B.T picks the same pivots as that of B.T, carrying row
+    k's sign through to row k of the right-hand side, where it cancels.
     """
     p = m2.shape[1]
-    f = _svd(np.concatenate((m2, m1p), axis=1))
-    objective = float((f.s[p:] ** 2).sum())
-    a, b = f.v[:p, :p], f.v[p:, :p]
-    x_hat = (f.u[:, :p] * f.s[:p]) @ b.T
-    sv = _singular_values(f.s[:p, None] * b.T)
+    u, s, v = _svd_factors(np.concatenate((m2, m1p), axis=1))
+    objective = float((s[p:] ** 2).sum())
+    a, b = v[:p, :p], v[p:, :p]
+    x_hat = (u[:, :p] * s[:p]) @ b.T
+    sv = _singular_values(s[:p, None] * b.T)
     if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise DegenerateFit("denoised design is numerically rank deficient")
-    r_hat = np.linalg.solve(b.T, a.T)
+    r_hat = _solve(b.T, a.T)
     return TlsFit(x_hat=x_hat, r_hat=r_hat, objective=objective)

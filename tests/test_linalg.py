@@ -9,8 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tlsperm.errors import ContractViolation
+from tlsperm import linalg
+from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.linalg import (
+    _solve,
     _svd,
     as_matrix,
     condition_number,
@@ -164,13 +166,57 @@ class TestSvdSignRule:
         u = np.array(u)
         s = np.array([2.0, 1.0])
         vt = np.array([[0.6, -0.8], [-0.8, -0.6]])
-        monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: (u.copy(), s, vt.copy()))
+        monkeypatch.setattr(linalg, "_gesdd", lambda a, compute_uv, full_matrices: (
+            np.asfortranarray(u), s, np.asfortranarray(vt), 0))
         f = _svd(np.zeros((3, 2)))
         ref_u, _, ref_v = loop_sign_svd(u, s, vt)
         assert same_bits(f.u, ref_u) and same_bits(f.v, ref_v)
         for k in range(2):
             mags = np.abs(f.u[:, k])
             assert f.u[int(np.flatnonzero(mags == mags.max())[0]), k] > 0
+
+
+class TestLapackDrivers:
+    """The kernels call LAPACK drivers directly: results come back C-ordered
+    and agree with numpy.linalg, and a nonzero info is a NumericalFailure."""
+
+    # (shape of the SVD input, order k of the solve): the n x 2p stacks and
+    # p x p systems of the fit and the c4 cost, and the 2 x 2 kernels at p=2
+    CASES = [((n, 2 * p), p) for n in (4, 7, 60, 300) for p in (1, 2, 3)] + [((2, 2), 2)]
+
+    @pytest.mark.parametrize("shape, k", CASES)
+    def test_matches_numpy_within_two_ulp(self, shape, k):
+        rng = stream(24, *shape)
+        for _ in range(3):
+            a = rng.standard_normal(shape)
+            f = svd(a)
+            u, s, v = loop_sign_svd(*np.linalg.svd(a, full_matrices=False))
+            for got, ref in ((f.u, u), (f.s, s), (f.v, v),
+                             (singular_values(a), np.linalg.svd(a, compute_uv=False))):
+                np.testing.assert_array_max_ulp(got, ref, maxulp=2)
+            m = rng.standard_normal((k, k))
+            rhs = a.T[:k]
+            np.testing.assert_array_max_ulp(_solve(m, rhs), np.linalg.solve(m, rhs), maxulp=2)
+
+    @pytest.mark.parametrize("shape", [(7, 4), (60, 6), (2, 2)])
+    def test_results_are_c_ordered(self, shape):
+        a = stream(25, *shape).standard_normal(shape)
+        f = svd(a)
+        x = _solve(a.T @ a, a.T)
+        for arr in (f.u, f.s, f.v, singular_values(a), x):
+            assert arr.flags.c_contiguous
+
+    def test_nonzero_info_is_numerical_failure(self, monkeypatch):
+        def failing(real):
+            return lambda *args, **kwargs: real(*args, **kwargs)[:-1] + (1,)
+
+        monkeypatch.setattr(linalg, "_gesdd", failing(linalg._gesdd))
+        monkeypatch.setattr(linalg, "_gesv", failing(linalg._gesv))
+        a = stream(26).standard_normal((5, 2))
+        for call in (lambda: svd(a), lambda: singular_values(a),
+                     lambda: _solve(a.T @ a, a.T)):
+            with pytest.raises(NumericalFailure, match="info=1"):
+                call()
 
 
 class TestSymEigvals:

@@ -3,9 +3,12 @@ characterization directly: its residual must not be beaten by any sampled
 rank-p approximation of the stacked pair."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from tlsperm import linalg
 from tlsperm.errors import ContractViolation, DegenerateFit
 from tlsperm.linalg import singular_values, svd, sym_eigvals
 from tlsperm.model import (
@@ -162,3 +165,28 @@ class TestFit:
             assert fit.objective == objective
             assert np.array_equal(fit.x_hat, x_hat)
             assert np.linalg.norm(fit.r_hat - r_hat) <= 1e-10 * np.linalg.norm(r_hat)
+
+    @pytest.mark.parametrize("n, p", [(7, 2), (60, 1), (300, 3)])
+    def test_signs_of_raw_factors_cancel_bitwise(self, monkeypatch, n, p):
+        """The fit skips the sign rule of svd(): flipping any set of singular
+        vector pairs in the driver's factors leaves x_hat and r_hat bit for bit,
+        and both come back C-ordered."""
+        rng = stream(42, n, p)
+        y2 = rng.standard_normal((n, p))
+        y1 = rng.standard_normal((n, p))
+        ref = tls_fit(y2, y1)
+        real = linalg._gesdd
+        for flips in itertools.product((1.0, -1.0), repeat=2 * p):
+            signs = np.array(flips)
+
+            def flipped(a, compute_uv=1, full_matrices=1):
+                u, s, vt, info = real(a, compute_uv=compute_uv, full_matrices=full_matrices)
+                if compute_uv:
+                    u, vt = u * signs, vt * signs[:, None]
+                return u, s, vt, info
+
+            monkeypatch.setattr(linalg, "_gesdd", flipped)
+            fit = tls_fit(y2, y1)
+            assert fit.x_hat.tobytes() == ref.x_hat.tobytes()
+            assert fit.r_hat.tobytes() == ref.r_hat.tobytes()
+            assert fit.x_hat.flags.c_contiguous and fit.r_hat.flags.c_contiguous
