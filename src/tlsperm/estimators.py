@@ -18,7 +18,10 @@ silenced on the way, since the failure itself reports them.
 
 Inputs are validated once, by the public functions. The engine and the
 private kernels (``_cost``, ``tls._fit``, ``tls._objective``) take arrays that
-are already validated.
+are already validated. Inside the loops, ``solve_lap`` scans each cost
+matrix once (the engine looks again only to turn a rejected overflow into
+NumericalFailure), and brute force's ``tls_objective`` call checks each
+permutation in one pass over the stack it factors.
 
 Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
 and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so
@@ -184,9 +187,13 @@ def _alternate(m1, pi, fit, cost) -> tuple[EstimateResult, list[float]]:
                 converged = True
                 break
             c = cost(model, y1p)
-            if not np.isfinite(c).all():
-                raise NumericalFailure("cost matrix is not finite; the inputs may overflow")
-            assignment, _ = solve_lap(c)
+            try:
+                assignment, _ = solve_lap(c)
+            except ContractViolation:
+                if np.isfinite(c).all():
+                    raise
+                raise NumericalFailure(
+                    "cost matrix is not finite; the inputs may overflow") from None
             pi_next = pi[assignment]
             if (pi_next == pi).all():
                 converged = True

@@ -18,5 +18,5 @@ def solve_lap(cost) -> tuple[np.ndarray, float]:
     if c.shape[0] != c.shape[1]:
         raise ContractViolation(f"cost matrix must be square, got {c.shape}")
     rows, cols = linear_sum_assignment(c)
-    assignment = cols.astype(np.intp)
+    assignment = cols.astype(np.intp, copy=False)
     return assignment, float(c[rows, cols].sum())

@@ -6,7 +6,8 @@ singular vectors so repeated runs produce identical factors.
 
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
-values alone, ``dgesv`` for square solves. At the sizes used here the
+values alone, ``dgesv`` for square solves, ``dlange`` for the largest
+magnitude behind a one-pass finiteness check. At the sizes used here the
 ``numpy.linalg`` wrappers cost more than the LAPACK work. The drivers return
 Fortran-ordered arrays; every kernel here returns C-ordered ones, as
 ``numpy.linalg`` does, because later reductions and products sum in memory
@@ -15,6 +16,7 @@ raises NumericalFailure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from .errors import ContractViolation, NumericalFailure
 
 _gesdd = lapack.dgesdd
 _gesv = lapack.dgesv
+_lange = lapack.dlange
 
 _RANK_TOL = 1e-12
 
@@ -36,6 +39,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ContractViolation(f"{name} contains NaN or Inf entries")
     return arr
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """True when every entry of a float64 matrix is finite, in one pass: its
+    largest magnitude (dlange propagates NaN) cannot overflow or raise numpy
+    warnings, unlike a sum. A C-ordered array is read in place."""
+    return math.isfinite(_lange("M", arr.T))
 
 
 @dataclass

@@ -4,6 +4,10 @@ Given y2 and an already-aligned y1p (both n x p), the fit finds the nearest
 rank-p matrix to [y2 | y1p] in Frobenius norm. The residual, the sum of the
 p smallest squared singular values of the stack, is the objective every
 estimator in this package minimizes over row alignments.
+
+The public functions validate through ``_checked_stack``, whose common case
+is one finiteness pass over the stack the SVD needs anyway: brute force calls
+``tls_objective`` once per permutation.
 """
 from __future__ import annotations
 
@@ -12,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateFit
-from .linalg import _singular_values, _solve, _svd_factors, as_matrix
+from .linalg import _all_finite, _singular_values, _solve, _svd_factors, as_matrix
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -27,16 +33,39 @@ def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
     return m1, m2, n, p
 
 
+def _checked_stack(y2, y1p) -> tuple[np.ndarray, int]:
+    """[y2 | y1p] as one validated n x 2p array, and p.
+
+    Two float64 ndarrays of one 2-D shape with n >= 2p >= 2 are stacked at
+    once and accepted when the stack is finite. Everything else, a non-finite
+    stack included, goes through _observation_pair, so accepted inputs,
+    values and errors do not depend on the route.
+    """
+    if (type(y2) is np.ndarray and type(y1p) is np.ndarray
+            and y2.dtype == _FLOAT64 and y1p.dtype == _FLOAT64
+            and y2.ndim == 2 and y2.shape == y1p.shape
+            and y2.shape[0] >= 2 * y2.shape[1] >= 2):
+        stack = np.concatenate((y2, y1p), axis=1)
+        if _all_finite(stack):
+            return stack, y2.shape[1]
+    m1, m2, _, p = _observation_pair(y1p, y2)
+    return np.concatenate((m2, m1), axis=1), p
+
+
 def tls_objective(y2, y1p) -> float:
     """Sum of the p smallest squared singular values of [y2 | y1p]."""
-    m1, m2, _, _ = _observation_pair(y1p, y2)
-    return _objective(m2, m1)
+    return _stack_objective(*_checked_stack(y2, y1p))
 
 
 def _objective(m2: np.ndarray, m1p: np.ndarray) -> float:
     """tls_objective() on a validated pair."""
-    s = _singular_values(np.concatenate((m2, m1p), axis=1))
-    return float((s[m2.shape[1]:] ** 2).sum())
+    return _stack_objective(np.concatenate((m2, m1p), axis=1), m2.shape[1])
+
+
+def _stack_objective(stack: np.ndarray, p: int) -> float:
+    """tls_objective() on a validated stack [y2 | y1p] of 2p columns."""
+    s = _singular_values(stack)
+    return float((s[p:] ** 2).sum())
 
 
 @dataclass
@@ -58,12 +87,16 @@ def tls_fit(y2, y1p) -> TlsFit:
     DegenerateFit when x_hat is numerically rank deficient, which callers
     treat as a failed iterate.
     """
-    m1, m2, _, _ = _observation_pair(y1p, y2)
-    return _fit(m2, m1)
+    return _stack_fit(*_checked_stack(y2, y1p))
 
 
 def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
-    """tls_fit() on a validated pair, from one SVD.
+    """tls_fit() on a validated pair."""
+    return _stack_fit(np.concatenate((m2, m1p), axis=1), m2.shape[1])
+
+
+def _stack_fit(stack: np.ndarray, p: int) -> TlsFit:
+    """tls_fit() on a validated stack [y2 | y1p] of 2p columns, from one SVD.
 
     With [y2 | y1p] = U S V.T, A = V[:p, :p] and B = V[p:, :p], the rank-p
     truncation has blocks y2_hat = U_p S_p A.T and x_hat = U_p S_p B.T. As U_p
@@ -78,8 +111,7 @@ def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
     factorization of D B.T picks the same pivots as that of B.T, carrying row
     k's sign through to row k of the right-hand side, where it cancels.
     """
-    p = m2.shape[1]
-    u, s, v = _svd_factors(np.concatenate((m2, m1p), axis=1))
+    u, s, v = _svd_factors(stack)
     objective = float((s[p:] ** 2).sum())
     a, b = v[:p, :p], v[p:, :p]
     x_hat = (u[:, :p] * s[:p]) @ b.T

@@ -355,6 +355,35 @@ class TestAloa:
             aloa(np.zeros((6, 2)), y2)
 
 
+class TestExactMinimiserIsAltaFixedPoint:
+    """Brute force as the oracle of the iterative scheme: started at the exact
+    minimiser, alta of every cost kind keeps it (each assignment minimises a
+    majoriser that touches the objective there), and no run from the identity
+    beats it. n = 7, p in {1, 2}, sigma in {0.1, 0.3, 1.0}, two draws each."""
+
+    CASES = [(p, sigma, draw) for p in (1, 2) for sigma in (0.1, 0.3, 1.0) for draw in range(2)]
+
+    @staticmethod
+    def instance(p: int, sigma: float, draw: int):
+        rng = stream(98, p, int(sigma * 10), draw)
+        inst = ProblemInstance(x=generate_design(7, p, rng), r=random_orthogonal(p, rng),
+                               pi_star=random_permutation(7, rng),
+                               sigma=as_covariance(sigma, p))
+        obs = generate_observations(inst, rng)
+        return obs.y1, obs.y2
+
+    @pytest.mark.parametrize("p, sigma, draw", CASES)
+    def test_alta_keeps_the_exact_minimiser(self, p, sigma, draw):
+        y1, y2 = self.instance(p, sigma, draw)
+        exact = brute_force_tls(y1, y2)
+        for kind in COST_KINDS:
+            res = alta(y1, y2, kind=kind, init=exact.perm)
+            assert np.array_equal(res.perm, exact.perm), kind
+            assert res.best_objective == pytest.approx(exact.best_objective, rel=1e-9), kind
+            from_identity = alta(y1, y2, kind=kind)
+            assert from_identity.best_objective >= exact.best_objective * (1 - 1e-12), kind
+
+
 class TestOverflow:
     """Inputs so large that squares overflow are a numerical failure of the
     data, not a caller error: at a common scale of 1e154 the cost matrix
@@ -374,6 +403,19 @@ class TestOverflow:
         _, _, y1, y2 = noisy_instance(7, sigma=0.1, seed=97)
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
             brute_force_tls(y1 * 1e200, y2 * 1e200)
+
+    @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa"])
+    def test_overflowing_cost_matrix_is_reported_as_overflow(self, estimator):
+        """At 1e154 the objective is finite but the cost matrix is not:
+        solve_lap's own scan rejects it, and the engine reports the overflow,
+        not the caller error solve_lap raised."""
+        _, _, y1, y2 = noisy_instance(12, sigma=0.1, seed=97)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure) as err:
+            if estimator == "aloa":
+                aloa(y1 * 1e154, y2 * 1e154)
+            else:
+                alta(y1 * 1e154, y2 * 1e154, kind=estimator)
+        assert str(err.value) == "cost matrix is not finite; the inputs may overflow"
 
 
 class TestValidationAtBoundary:

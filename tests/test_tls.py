@@ -1,12 +1,18 @@
 """Rank-p objective and fit. The fit is checked against the optimality
 characterization directly: its residual must not be beaten by any sampled
-rank-p approximation of the stacked pair."""
+rank-p approximation of the stacked pair. The public functions' input checks
+are pinned input by input: the same values, errors and messages whichever
+validation route an input takes."""
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tlsperm import linalg
 from tlsperm.errors import ContractViolation, DegenerateFit
@@ -19,7 +25,7 @@ from tlsperm.model import (
     rotation_2d,
     stream,
 )
-from tlsperm.tls import tls_fit, tls_objective
+from tlsperm.tls import TlsFit, _fit, _objective, _observation_pair, tls_fit, tls_objective
 
 
 def block_design(half: int = 5) -> tuple[np.ndarray, np.ndarray]:
@@ -190,3 +196,140 @@ class TestFit:
             assert fit.x_hat.tobytes() == ref.x_hat.tobytes()
             assert fit.r_hat.tobytes() == ref.r_hat.tobytes()
             assert fit.x_hat.flags.c_contiguous and fit.r_hat.flags.c_contiguous
+
+
+def outcome(f, *args):
+    """What f(*args) gives, comparable bit for bit: the bytes of a float or
+    of a fit's fields, or the class and message of the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = f(*args)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    if isinstance(value, TlsFit):
+        return (value.x_hat.tobytes(), value.r_hat.tobytes(),
+                np.float64(value.objective).tobytes())
+    return np.float64(value).tobytes()
+
+
+# finite float64 entries, drawn over the whole range and with the extremes
+# (signed zeros, the largest magnitudes, subnormals) drawn often
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 1e308, -1e308,
+                     1.7976931348623157e308, 5e-324]))
+
+
+@st.composite
+def finite_pairs(draw):
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * p, 2 * p + 5))
+    y2 = draw(hnp.arrays(np.float64, (n, p), elements=FINITE))
+    y1 = draw(hnp.arrays(np.float64, (n, p), elements=FINITE))
+    return y2, y1
+
+
+GOOD = np.arange(12.0).reshape(6, 2)
+INF, NAN = np.inf, np.nan
+
+
+def with_entry(i: int, j: int, value: float, base=GOOD) -> np.ndarray:
+    """A copy of base with entry (i, j) set to value."""
+    a = base.copy()
+    a[i, j] = value
+    return a
+
+
+# (y2, y1p, the ContractViolation message); y1p is named y1 in the messages
+INVALID = {
+    "nan in y1": (GOOD, with_entry(2, 1, NAN), "y1 contains NaN or Inf entries"),
+    "inf in y1": (GOOD, with_entry(0, 0, INF), "y1 contains NaN or Inf entries"),
+    "both infinities in y1": (GOOD, with_entry(1, 0, -INF, with_entry(0, 0, INF)),
+                              "y1 contains NaN or Inf entries"),
+    "nan in y2": (with_entry(5, 1, NAN), GOOD, "y2 contains NaN or Inf entries"),
+    "-inf in y2": (with_entry(1, 0, -INF), GOOD, "y2 contains NaN or Inf entries"),
+    "nan in both": (with_entry(0, 0, NAN), with_entry(3, 1, INF),
+                    "y1 contains NaN or Inf entries"),
+    "1-D y2, nan in y1": (np.ones(6), with_entry(0, 0, NAN),
+                          "y1 contains NaN or Inf entries"),
+    "nan in y2, 3-D y1": (with_entry(0, 0, NAN), np.ones((6, 2, 1)),
+                          "y1 must be a nonempty 2-D array, got shape (6, 2, 1)"),
+    "nan in a list": (GOOD.tolist(), with_entry(4, 0, NAN).tolist(),
+                      "y1 contains NaN or Inf entries"),
+    "inf in float32": (GOOD.astype(np.float32), with_entry(1, 1, INF).astype(np.float32),
+                       "y1 contains NaN or Inf entries"),
+    "int and float32 shapes differ": (np.arange(12).reshape(6, 2),
+                                      np.ones((6, 3), dtype=np.float32),
+                                      "y1 and y2 shapes differ: (6, 3) vs (6, 2)"),
+    "1-D": (np.ones(6), np.ones(6), "y1 must be a nonempty 2-D array, got shape (6,)"),
+    "3-D": (np.ones((6, 2, 1)), np.ones((6, 2, 1)),
+            "y1 must be a nonempty 2-D array, got shape (6, 2, 1)"),
+    "no rows": (np.empty((0, 2)), np.empty((0, 2)),
+                "y1 must be a nonempty 2-D array, got shape (0, 2)"),
+    "no columns": (np.empty((6, 0)), np.empty((6, 0)),
+                   "y1 must be a nonempty 2-D array, got shape (6, 0)"),
+    "columns differ": (np.ones((6, 2)), np.ones((6, 3)),
+                       "y1 and y2 shapes differ: (6, 3) vs (6, 2)"),
+    "rows differ": (np.ones((6, 2)), np.ones((7, 2)),
+                    "y1 and y2 shapes differ: (7, 2) vs (6, 2)"),
+    "n < 2p": (np.ones((3, 2)), np.ones((3, 2)), "need n >= 2p, got n=3, p=2"),
+    "n < 2p at p = 1": (np.ones((1, 1)), np.ones((1, 1)), "need n >= 2p, got n=1, p=1"),
+}
+
+# inputs accepted off the float64 shortcut, each with its float64 equivalent
+CONVERTED = {
+    "lists": (GOOD.tolist(), (GOOD + 0.5).tolist()),
+    "int": (np.arange(12).reshape(6, 2), np.arange(12)[::-1].reshape(6, 2)),
+    "float32": (GOOD.astype(np.float32), (GOOD * 0.1).astype(np.float32)),
+    "big-endian": (GOOD.astype(">f8"), (GOOD - 3.0).astype(">f8")),
+}
+
+
+class TestInputRoutes:
+    """tls_objective and tls_fit check a float64 pair of one valid shape with
+    one pass over its stack, and everything else on the as_matrix route.
+    Either way the accepted inputs, values and errors are the same."""
+
+    @given(pair=finite_pairs())
+    @example(pair=(np.full((4, 1), 1e308), np.full((4, 1), 1e308)))
+    @example(pair=(np.full((4, 2), -0.0), np.full((4, 2), 0.0)))
+    @example(pair=(np.array([[1e308], [1e308], [-1e308], [1e308]]),
+                   np.array([[1e308], [-1e308], [1e308], [1e308]])))
+    @settings(max_examples=200, deadline=None)
+    def test_public_equals_private_kernel_bitwise(self, pair):
+        y2, y1 = pair
+        m1, m2, _, _ = _observation_pair(y1, y2)
+        assert outcome(tls_objective, y2, y1) == outcome(_objective, m2, m1)
+        assert outcome(tls_fit, y2, y1) == outcome(_fit, m2, m1)
+
+    @pytest.mark.parametrize("f", [tls_objective, tls_fit])
+    @pytest.mark.parametrize("case", INVALID)
+    def test_invalid_input_raises_pinned_message(self, f, case):
+        y2, y1, message = INVALID[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ContractViolation) as err:
+                f(y2, y1)
+        assert str(err.value) == message
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("f", [tls_objective, tls_fit])
+    def test_unconvertible_input_is_numpy_error(self, f):
+        with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+            f("abc", GOOD)
+
+    @pytest.mark.parametrize("f", [tls_objective, tls_fit])
+    @pytest.mark.parametrize("case", CONVERTED)
+    def test_converted_input_matches_float64(self, f, case):
+        y2, y1 = CONVERTED[case]
+        expected = outcome(f, np.asarray(y2, dtype=float), np.asarray(y1, dtype=float))
+        assert outcome(f, y2, y1) == expected
+
+    @pytest.mark.parametrize("f", [tls_objective, tls_fit])
+    def test_strided_and_fortran_ordered_inputs_match_contiguous(self, f):
+        rng = stream(43)
+        y2 = rng.standard_normal((9, 6))
+        y1 = rng.standard_normal((9, 3))
+        ref = outcome(f, np.ascontiguousarray(y2[:, ::2]), y1)
+        assert outcome(f, y2[:, ::2], y1) == ref
+        assert outcome(f, y2[:, ::2], np.asfortranarray(y1)) == ref

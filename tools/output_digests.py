@@ -144,6 +144,33 @@ INPUTS = {
     "usage-estimate-bad-cell": {"cell.csv": b"2,2\n1,x\n3,4\n"},
     "usage-estimate-binary": {"binary.csv": bytes(range(256))},
 }
+
+
+def matrix_file(rows, exponent: int) -> bytes:
+    """A matrix CSV of small integers times 10**exponent, written exactly."""
+    lines = [f"{len(rows)},{len(rows[0])}"]
+    lines += [",".join(f"{v}e{exponent}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Huge but finite inputs. At 1e200 every residual overflows, so brute force
+# and alta end in a numerical failure. At 1e308 even sums of a few entries
+# overflow; the entries are still valid.
+HUGE = {
+    "1e200": {"y1.csv": matrix_file([(3, 1), (-2, 4), (5, -1), (1, 2), (-4, -3), (2, 5),
+                                     (0, -2)], 200),
+              "y2.csv": matrix_file([(1, -3), (4, 2), (-2, 5), (3, 3), (-1, -4), (5, 0),
+                                     (2, -2)], 200)},
+    "1e308": {"y1.csv": matrix_file([(1,), (-1.5,), (1.25,), (1.75,), (-0.5,), (1.5,),
+                                     (0.75,)], 308),
+              "y2.csv": matrix_file([(-0.5,), (1,), (1.75,), (1.25,), (0.75,), (-1.5,),
+                                     (1.5,)], 308)},
+}
+for _scale, _files in HUGE.items():
+    for _est in ("brute", "alta"):
+        COMMANDS[f"huge-{_scale}-{_est}"] = [[
+            "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est]]
+        INPUTS[f"huge-{_scale}-{_est}"] = _files
 for _i, _argv in enumerate(USAGE_ERRORS):
     _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
     COMMANDS[f"usage-{_i:02d}-{_argv[0]}"] = [_argv + _out]
