@@ -27,86 +27,22 @@ from .evaluation import (
     trace_max_check,
 )
 from .lap import solve_lap
-from .linalg import (
-    SvdResult,
-    condition_number,
-    frobenius_norm,
-    nuclear_norm,
-    orthogonal_procrustes,
-    singular_values,
-    svd,
-    sym_eigvals,
-)
+from .linalg import condition_number, frobenius_norm, singular_values, sym_eigvals
 from .model import (
     Observations,
     ProblemInstance,
-    apply_permutation,
     as_covariance,
     as_permutation,
     generate_design,
     generate_observations,
     identity_permutation,
-    invert_permutation,
-    normalize_condition,
     partial_shuffle,
     random_orthogonal,
     random_permutation,
     rotation_2d,
-    sample_noise,
     snr,
     stream,
 )
 from .tls import TlsFit, tls_fit, tls_objective
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundValue",
-    "COST_KINDS",
-    "ContractViolation",
-    "DegenerateFit",
-    "EstimateResult",
-    "NumericalFailure",
-    "Observations",
-    "ProblemInstance",
-    "RankDeficient",
-    "SvdResult",
-    "TlsFit",
-    "alta",
-    "aloa",
-    "apply_permutation",
-    "as_covariance",
-    "as_permutation",
-    "brute_force_tls",
-    "build_cost",
-    "condition_number",
-    "eig_tail_rhs",
-    "frobenius_norm",
-    "generate_design",
-    "generate_observations",
-    "hamming_distance",
-    "identity_permutation",
-    "invert_permutation",
-    "normalize_condition",
-    "nuclear_norm",
-    "orthogonal_procrustes",
-    "partial_shuffle",
-    "procrustes_loss",
-    "procrustes_residual_gap",
-    "quadratic_loss",
-    "random_orthogonal",
-    "random_permutation",
-    "recovery_bound",
-    "rotation_2d",
-    "sample_noise",
-    "singular_values",
-    "snr",
-    "solve_lap",
-    "stream",
-    "svd",
-    "sym_eigvals",
-    "tls_fit",
-    "tls_objective",
-    "trace_max_check",
-    "__version__",
-]

@@ -185,6 +185,8 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
     if not sized and cfg.n < 2 * cfg.p:
         raise ContractViolation(f"need n >= 2p, got n={cfg.n}, p={cfg.p}")
     for g in cfg.grid:
+        if not math.isfinite(g):
+            raise ContractViolation(f"grid value {g} is not finite")
         if sized and (g != int(g) or int(g) < 2 * cfg.p):
             raise ContractViolation(f"grid value {g} is not a sample count >= 2p")
         if cfg.axis == "noise" and g < 0:

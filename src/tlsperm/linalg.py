@@ -2,7 +2,10 @@
 
 Everything downstream assumes the conventions fixed here: thin factorizations,
 singular values and eigenvalues sorted descending, and a deterministic sign for
-singular vectors so repeated runs produce identical factors.
+singular vectors so repeated runs produce identical factors. The public
+functions check their input with ``as_matrix``; the underscored kernels
+(``_svd``, ``_singular_values``, ``_solve``, ``_orthogonal_procrustes``) take
+matrices that are already checked.
 
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
@@ -57,19 +60,12 @@ class SvdResult:
     v: np.ndarray
 
 
-def svd(a) -> SvdResult:
-    """Thin SVD with a deterministic sign convention.
+def _svd(arr: np.ndarray) -> SvdResult:
+    """Thin SVD of a validated matrix with a deterministic sign convention.
 
     Each left singular vector is flipped, together with its right partner, so
     that its largest-magnitude entry is positive (first such entry on ties).
-    """
-    return _svd(as_matrix(a, "svd input"))
-
-
-def _svd(arr: np.ndarray) -> SvdResult:
-    """svd() on an array that is already a validated matrix.
-
-    The sign rule is applied to all columns at once: the pivot of column k is
+    The rule is applied to all columns at once: the pivot of column k is
     argmax |u[:, k]|, the first index among equal magnitudes, and columns
     whose pivot entry is negative are multiplied by -1 (exact, so the factors
     equal a column-by-column negation bit for bit). A pivot entry is never
@@ -90,7 +86,7 @@ def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values only, descending. Cheaper than svd() when factors are unused."""
+    """Singular values only, descending. Cheaper than _svd when factors are unused."""
     return _singular_values(as_matrix(a, "singular_values input"))
 
 
@@ -127,30 +123,16 @@ def sym_eigvals(a) -> np.ndarray:
     return vals[::-1]
 
 
-def orthogonal_procrustes(a, b) -> tuple[np.ndarray, float]:
-    """Best orthogonal alignment of b onto a.
+def _orthogonal_procrustes(am: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best orthogonal alignment of bm onto am, validated matrices of one shape.
 
-    Returns (q, loss) with q minimizing ||a - b q||_F^2 over the full orthogonal
+    Returns (q, loss) with q minimizing ||am - bm q||_F^2 over the full orthogonal
     group, reflections included, and loss the attained minimum.
     """
-    am = as_matrix(a, "procrustes target")
-    bm = as_matrix(b, "procrustes source")
-    if am.shape != bm.shape:
-        raise ContractViolation(f"procrustes shapes differ: {am.shape} vs {bm.shape}")
-    return _orthogonal_procrustes(am, bm)
-
-
-def _orthogonal_procrustes(am: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float]:
-    """orthogonal_procrustes() on validated matrices of one shape."""
     f = _svd(bm.T @ am)
     q = f.u @ f.v.T
     loss = float(np.linalg.norm(am - bm @ q) ** 2)
     return q, loss
-
-
-def nuclear_norm(a) -> float:
-    """Sum of singular values."""
-    return float(svd(a).s.sum())
 
 
 def frobenius_norm(a) -> float:

@@ -61,7 +61,10 @@ def write_permutation(path, perm) -> None:
 
 
 def read_permutation(path) -> np.ndarray:
-    lines = Path(path).read_text().split()
+    try:
+        lines = Path(path).read_text().split()
+    except ValueError as exc:  # bytes that do not decode as text
+        raise ContractViolation(f"{path}: not a text permutation file") from exc
     try:
         vals = np.array([int(t) for t in lines], dtype=np.intp)
     except ValueError as exc:

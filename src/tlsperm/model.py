@@ -47,21 +47,6 @@ def identity_permutation(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.intp)
 
 
-def apply_permutation(perm, a) -> np.ndarray:
-    """Row-permute: result[i] = a[perm[i]]."""
-    mat = as_matrix(a, "apply_permutation input")
-    p = as_permutation(perm, mat.shape[0])
-    return mat[p]
-
-
-def invert_permutation(perm) -> np.ndarray:
-    """Inverse under composition: apply(inv, apply(perm, a)) == a."""
-    p = as_permutation(perm)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size, dtype=np.intp)
-    return inv
-
-
 def random_permutation(n: int, rng: Rng) -> np.ndarray:
     if n < 1:
         raise ContractViolation("random_permutation needs n >= 1")
@@ -93,7 +78,7 @@ class ProblemInstance:
 
 @dataclass
 class Observations:
-    """Observed pair: y1 = x + e1, y2 = apply(pi_star, x) @ r + e2."""
+    """Observed pair: y1 = x + e1, y2 = x[pi_star] @ r + e2."""
 
     y1: np.ndarray
     y2: np.ndarray
@@ -154,14 +139,9 @@ def random_orthogonal(p: int, rng: Rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def sample_noise(n: int, sigma, rng: Rng) -> np.ndarray:
-    """n rows drawn i.i.d. from N(0, sigma). Accepts any symmetric PSD sigma."""
-    cov = as_matrix(sigma, "noise covariance")
-    return _sample_noise(n, _check_covariance(cov, cov.shape[0]), rng)
-
-
 def _sample_noise(n: int, cov: np.ndarray, rng: Rng) -> np.ndarray:
-    """sample_noise() with a validated covariance."""
+    """n rows drawn i.i.d. from N(0, cov) for a validated symmetric PSD cov;
+    a singular cov is factored through its eigendecomposition."""
     z = rng.standard_normal((n, cov.shape[0]))
     try:
         left = np.linalg.cholesky(cov)
@@ -186,19 +166,6 @@ def generate_observations(instance: ProblemInstance, rng: Rng) -> Observations:
     y1 = x + e1
     y2 = x[pi_star] @ r + e2
     return Observations(y1=y1, y2=y2)
-
-
-def normalize_condition(y1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replace y1 by its orthonormal column basis.
-
-    Returns (y1_new, v, s) with y1 = y1_new @ diag(s) @ v.T and
-    y1_new = y1 @ v @ diag(1/s). Requires full column rank.
-    """
-    mat = as_matrix(y1, "normalize_condition input")
-    f = _svd(mat)
-    if f.s[-1] <= 1e-10 * f.s[0]:
-        raise RankDeficient("cannot normalize a rank-deficient matrix")
-    return f.u, f.v, f.s
 
 
 def snr(x, sigma) -> float:

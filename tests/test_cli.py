@@ -3,7 +3,10 @@ their exit-code contract, and sweeps rerun byte-identically once the timing
 column is stripped."""
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -79,6 +82,10 @@ class TestMatio:
             read_permutation(path)
         path.write_text("0\n2\n")
         with pytest.raises(ContractViolation):
+            read_permutation(path)
+        path.write_bytes(bytes(range(256)))
+        message = f"^{re.escape(str(path))}: not a text permutation file$"
+        with pytest.raises(ContractViolation, match=message):
             read_permutation(path)
 
 
@@ -288,6 +295,13 @@ class TestSweep:
         slope_c4 = curves["alta_c4"][-1] - curves["alta_c4"][0]
         assert slope_c4 < slope_c3
 
+    @pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_grid_value_is_contract_violation(self, axis, bad):
+        with pytest.raises(ContractViolation, match=f"^grid value {bad} is not finite$"):
+            cli.ExperimentConfig(axis=axis, grid=[bad], n=12, p=2, sigma=0.1,
+                                 theta=60.0, trials=1, seed=0)
+
     def test_snr_axis_and_shared_design_rerun_deterministically(self, tmp_path, capsys):
         args = ("sweep", "--sweep", "snr", "--grid", "8,16", "--sigma", 0.4,
                 "--trials", 3, "--seed", 4, "--estimator", "alta",
@@ -419,6 +433,8 @@ class TestSweep:
             (("estimate", "--y1", cell, "--y2", cell),
              f"{cell}: could not convert string to float: 'x'"),
             (("estimate", "--y1", binary, "--y2", binary), f"{binary}: not a text matrix file"),
+            (("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv",
+              "--truth-perm", binary), f"{binary}: not a text permutation file"),
             ((*sweep, "noise", "--grid", "0.1;0.2"), "bad grid '0.1;0.2'"),
             ((*sweep, "noise", "--grid", "0.1", "--estimator", "newton"),
              "unknown estimator spec 'newton'"),
@@ -547,3 +563,16 @@ class TestLemmaCommand:
         assert run("lemma", "--kind", "eigtail", "--p", -1) == 1
         assert run("lemma", "--kind", "eigtail", "--p", 0) == 1
         assert run("lemma", "--kind", "eigtail", "--n", -5) == 1
+
+
+class TestReadme:
+    def test_library_example_runs(self, tmp_path):
+        """README's Library block is the documented import surface: it runs
+        as written, in a fresh interpreter, against this checkout's package."""
+        root = Path(__file__).resolve().parents[1]
+        section = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", block], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,8 @@
 """Factorization contracts, checked against independent routes where possible:
 grid search over the 2-D orthogonal group for the alignment problem, sampled
 trace maximization for the nuclear norm, squared singular values for the
-symmetric eigenvalues."""
+symmetric eigenvalues. The factorization kernels are private and take checked
+matrices, so they are called directly."""
 from __future__ import annotations
 
 import warnings
@@ -11,19 +12,18 @@ import pytest
 
 from tlsperm import linalg
 from tlsperm.errors import ContractViolation, NumericalFailure
+from tlsperm.evaluation import trace_max_check
 from tlsperm.linalg import (
+    _orthogonal_procrustes,
     _solve,
     _svd,
     as_matrix,
     condition_number,
     frobenius_norm,
-    nuclear_norm,
-    orthogonal_procrustes,
     singular_values,
-    svd,
     sym_eigvals,
 )
-from tlsperm.model import random_orthogonal, stream
+from tlsperm.model import random_orthogonal, random_permutation, stream
 
 
 def grid_procrustes_loss(a: np.ndarray, b: np.ndarray, step: float = 1e-3) -> float:
@@ -95,7 +95,7 @@ class TestSvd:
     @pytest.mark.parametrize("shape", [(3, 3), (6, 2), (2, 6), (10, 4), (1, 1)])
     def test_reconstruction_and_orthonormal_factors(self, shape):
         a = stream(11, *shape).standard_normal(shape)
-        f = svd(a)
+        f = _svd(a)
         k = min(shape)
         assert f.u.shape == (shape[0], k) and f.v.shape == (shape[1], k)
         assert np.allclose(f.u @ np.diag(f.s) @ f.v.T, a, atol=1e-10)
@@ -104,26 +104,26 @@ class TestSvd:
         assert np.all(np.diff(f.s) <= 0) and np.all(f.s >= 0)
 
     def test_diagonal_matrix_known_values(self):
-        f = svd(np.diag([3.0, 1.0, 2.0]))
+        f = _svd(np.diag([3.0, 1.0, 2.0]))
         assert f.s == pytest.approx([3.0, 2.0, 1.0])
 
     def test_sign_convention_largest_entry_positive(self):
         a = stream(12).standard_normal((7, 3))
-        f = svd(a)
+        f = _svd(a)
         for k in range(3):
             col = f.u[:, k]
             assert col[int(np.argmax(np.abs(col)))] > 0
 
     def test_deterministic_repeat(self):
         a = stream(13).standard_normal((5, 4))
-        f1, f2 = svd(a), svd(a)
+        f1, f2 = _svd(a), _svd(a)
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.s, f2.s)
         assert np.array_equal(f1.v, f2.v)
 
     def test_singular_values_match_full_factorization(self):
         a = stream(14).standard_normal((8, 3))
-        assert singular_values(a) == pytest.approx(svd(a).s, abs=1e-12)
+        assert singular_values(a) == pytest.approx(_svd(a).s, abs=1e-12)
 
 
 def loop_sign_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
@@ -189,7 +189,7 @@ class TestLapackDrivers:
         rng = stream(24, *shape)
         for _ in range(3):
             a = rng.standard_normal(shape)
-            f = svd(a)
+            f = _svd(a)
             u, s, v = loop_sign_svd(*np.linalg.svd(a, full_matrices=False))
             for got, ref in ((f.u, u), (f.s, s), (f.v, v),
                              (singular_values(a), np.linalg.svd(a, compute_uv=False))):
@@ -201,7 +201,7 @@ class TestLapackDrivers:
     @pytest.mark.parametrize("shape", [(7, 4), (60, 6), (2, 2)])
     def test_results_are_c_ordered(self, shape):
         a = stream(25, *shape).standard_normal(shape)
-        f = svd(a)
+        f = _svd(a)
         x = _solve(a.T @ a, a.T)
         for arr in (f.u, f.s, f.v, singular_values(a), x):
             assert arr.flags.c_contiguous
@@ -213,7 +213,7 @@ class TestLapackDrivers:
         monkeypatch.setattr(linalg, "_gesdd", failing(linalg._gesdd))
         monkeypatch.setattr(linalg, "_gesv", failing(linalg._gesv))
         a = stream(26).standard_normal((5, 2))
-        for call in (lambda: svd(a), lambda: singular_values(a),
+        for call in (lambda: _svd(a), lambda: singular_values(a),
                      lambda: _solve(a.T @ a, a.T)):
             with pytest.raises(NumericalFailure, match="info=1"):
                 call()
@@ -243,27 +243,27 @@ class TestOrthogonalProcrustes:
         b = rng.standard_normal((8, 3))
         q0 = random_orthogonal(3, rng)
         a = b @ q0
-        q, loss = orthogonal_procrustes(a, b)
+        q, loss = _orthogonal_procrustes(a, b)
         assert loss == pytest.approx(0.0, abs=1e-18)
         assert np.allclose(q, q0, atol=1e-10)
 
     def test_reflections_are_allowed(self):
         b = stream(17).standard_normal((6, 2))
         a = b @ np.diag([1.0, -1.0])
-        _, loss = orthogonal_procrustes(a, b)
+        _, loss = _orthogonal_procrustes(a, b)
         assert loss == pytest.approx(0.0, abs=1e-18)
 
     def test_returned_q_is_orthogonal(self):
         rng = stream(18)
-        q, _ = orthogonal_procrustes(rng.standard_normal((5, 3)),
-                                     rng.standard_normal((5, 3)))
+        q, _ = _orthogonal_procrustes(rng.standard_normal((5, 3)),
+                                      rng.standard_normal((5, 3)))
         assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
 
     def test_beats_random_orthogonal_candidates(self):
         rng = stream(19)
         a = rng.standard_normal((7, 3))
         b = rng.standard_normal((7, 3))
-        q, loss = orthogonal_procrustes(a, b)
+        q, loss = _orthogonal_procrustes(a, b)
         for _ in range(200):
             cand = random_orthogonal(3, rng)
             assert loss <= np.linalg.norm(a - b @ cand) ** 2 + 1e-9
@@ -275,31 +275,24 @@ class TestOrthogonalProcrustes:
         for _ in range(100):
             a = 0.4 * rng.standard_normal((5, 2))
             b = 0.4 * rng.standard_normal((5, 2))
-            _, loss = orthogonal_procrustes(a, b)
+            _, loss = _orthogonal_procrustes(a, b)
             gap = grid_procrustes_loss(a, b) - loss
             worst = max(worst, abs(gap))
             assert -1e-9 <= gap <= 1e-6
         assert worst <= 1e-6
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            orthogonal_procrustes(np.ones((3, 2)), np.ones((2, 3)))
-
 
 class TestNuclearNorm:
-    def test_diagonal_known(self):
-        assert nuclear_norm(np.diag([2.0, -3.0, 1.0])) == pytest.approx(6.0)
-
-    def test_equals_sum_of_singular_values(self):
-        a = stream(21).standard_normal((6, 4))
-        assert nuclear_norm(a) == pytest.approx(float(svd(a).s.sum()), abs=1e-10)
-
     def test_matches_sampled_trace_maximization(self):
-        # oracle: nuclear norm = max over orthogonal q of tr(a q); a large
-        # Haar-ish sample should come within 2% and never exceed it
+        # trace_max_check's rhs is the nuclear norm of a = x.T @ x[perm]
+        # (the paper's trace-maximization lemma). Oracle: nuclear norm = max
+        # over orthogonal q of tr(a q); a large Haar-ish sample should come
+        # within 2% and never exceed it
         rng = stream(22)
-        a = rng.standard_normal((3, 3))
-        nn = nuclear_norm(a)
+        x = rng.standard_normal((6, 3))
+        perm = random_permutation(6, rng)
+        a = x.T @ x[perm]
+        _, nn = trace_max_check(x, perm, samples=0)
         z = rng.standard_normal((200_000, 3, 3))
         q, r = np.linalg.qr(z)
         q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]

@@ -1,40 +1,30 @@
 """Instance generation and permutation semantics. The permutation convention
-(result row i = input row perm[i]) is pinned here once; everything else in the
-package leans on it."""
+(result row i = input row perm[i]) is pinned here once, by the noiseless
+observations; everything else in the package leans on it."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tlsperm.errors import ContractViolation, RankDeficient
+from tlsperm.errors import ContractViolation
 from tlsperm.linalg import condition_number, frobenius_norm
 from tlsperm.model import (
     Observations,
     ProblemInstance,
-    apply_permutation,
     as_covariance,
     as_permutation,
     generate_design,
     generate_observations,
     identity_permutation,
-    invert_permutation,
-    normalize_condition,
     partial_shuffle,
     random_orthogonal,
     random_permutation,
     rotation_2d,
-    sample_noise,
     snr,
     stream,
 )
-
-permutation_arrays = st.integers(1, 12).flatmap(
-    lambda n: st.permutations(list(range(n))))
-
 
 class TestStream:
     def test_same_key_same_bits(self):
@@ -57,29 +47,6 @@ class TestStream:
 
 
 class TestPermutations:
-    def test_apply_semantics_row_lookup(self):
-        a = np.arange(8.0).reshape(4, 2)
-        perm = np.array([2, 0, 3, 1])
-        out = apply_permutation(perm, a)
-        for i in range(4):
-            assert np.array_equal(out[i], a[perm[i]])
-
-    @given(permutation_arrays)
-    @settings(max_examples=60, deadline=None)
-    def test_invert_round_trip(self, perm):
-        p = np.array(perm)
-        a = np.arange(p.size * 3, dtype=float).reshape(p.size, 3)
-        assert np.array_equal(apply_permutation(invert_permutation(p),
-                                                apply_permutation(p, a)), a)
-
-    @given(permutation_arrays)
-    @settings(max_examples=60, deadline=None)
-    def test_inverse_composition_is_identity(self, perm):
-        p = np.array(perm)
-        inv = invert_permutation(p)
-        assert np.array_equal(p[inv], np.arange(p.size))
-        assert np.array_equal(inv[p], np.arange(p.size))
-
     def test_validation_rejects_duplicates_floats_and_bad_length(self):
         with pytest.raises(ContractViolation):
             as_permutation(np.array([0, 0, 1]))
@@ -96,10 +63,6 @@ class TestPermutations:
     def test_random_permutation_is_valid(self):
         p = random_permutation(30, stream(1))
         as_permutation(p, 30)
-
-    def test_apply_rejects_length_mismatch(self):
-        with pytest.raises(ContractViolation):
-            apply_permutation(np.array([0, 1]), np.ones((3, 2)))
 
 
 class TestPartialShuffle:
@@ -174,30 +137,38 @@ class TestCovarianceAndNoise:
 
     @pytest.mark.parametrize("sigma, message", [
         (np.ones((2, 3)), "covariance must be 2x2, got (2, 3)"),
-        (np.ones(2), "noise covariance must be a nonempty 2-D array, got shape (2,)"),
+        (np.ones(2), "covariance must be a nonempty 2-D array, got shape (2,)"),
         (np.array([[1.0, 0.5], [0.0, 1.0]]), "covariance must be symmetric"),
         (np.array([[1.0, 0.0], [0.0, -0.1]]), "covariance must be positive semidefinite"),
     ])
-    def test_sample_noise_error_messages(self, sigma, message):
+    def test_covariance_error_messages(self, sigma, message):
         with pytest.raises(ContractViolation) as exc:
-            sample_noise(5, sigma, stream(9))
+            as_covariance(sigma, 2)
         assert str(exc.value) == message
 
+    @staticmethod
+    def noise(n, cov, rng):
+        """Both noise draws of one observed pair, read off a zero design."""
+        inst = ProblemInstance(x=np.zeros((n, 2)), r=np.eye(2),
+                               pi_star=identity_permutation(n), sigma=cov)
+        obs = generate_observations(inst, rng)
+        return obs.y1, obs.y2
+
     def test_zero_covariance_gives_zero_noise(self):
-        e = sample_noise(50, np.zeros((2, 2)), stream(10))
-        assert np.all(e == 0.0)
+        e1, e2 = self.noise(50, np.zeros((2, 2)), stream(10))
+        assert np.all(e1 == 0.0) and np.all(e2 == 0.0)
 
     def test_empirical_covariance_anisotropic(self):
         cov = np.array([[2.0, 0.6], [0.6, 0.5]])
-        e = sample_noise(200_000, cov, stream(11))
+        e, _ = self.noise(200_000, cov, stream(11))
         emp = e.T @ e / e.shape[0]
         assert np.allclose(emp, cov, atol=0.02)
 
     def test_singular_covariance_supported(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
-        e = sample_noise(10_000, cov, stream(12))
-        # both columns identical up to sampling of the shared factor
-        assert np.allclose(e[:, 0], e[:, 1], atol=1e-12)
+        for e in self.noise(10_000, cov, stream(12)):
+            # both columns identical up to sampling of the shared factor
+            assert np.allclose(e[:, 0], e[:, 1], atol=1e-12)
 
 
 class TestGenerateObservations:
@@ -232,20 +203,6 @@ class TestGenerateObservations:
                               sigma=inst.sigma)
         with pytest.raises(ContractViolation):
             generate_observations(bad, rng)
-
-
-class TestNormalizeCondition:
-    def test_reconstruction_and_orthonormal_output(self):
-        y1 = stream(16).standard_normal((9, 3)) @ np.diag([3.0, 1.0, 0.2])
-        u, v, s = normalize_condition(y1)
-        assert np.allclose(u @ np.diag(s) @ v.T, y1, atol=1e-10)
-        assert np.allclose(u.T @ u, np.eye(3), atol=1e-10)
-        assert np.allclose(y1 @ v @ np.diag(1.0 / s), u, atol=1e-10)
-
-    def test_rank_deficient_rejected(self):
-        y1 = np.ones((5, 2))
-        with pytest.raises(RankDeficient):
-            normalize_condition(y1)
 
 
 class TestSnr:

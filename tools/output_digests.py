@@ -134,6 +134,7 @@ COMMANDS.update({
     "usage-estimate-dir-input": [GEN_A, ["estimate", "--y1", "A", "--y2", "A/y2.csv"]],
     "usage-estimate-bad-cell": [["estimate", "--y1", "cell.csv", "--y2", "cell.csv"]],
     "usage-estimate-binary": [["estimate", "--y1", "binary.csv", "--y2", "binary.csv"]],
+    "usage-estimate-binary-perm": [GEN_A, FILE_ROUTE + ["--truth-perm", "binary.txt"]],
     "usage-sweep-summary-is-dir": [["gen", "--n", "6", "--out", "r.summary.csv"],
                                    SWEEP_POINT + ["--out", "r.csv"]],
     "usage-sweep-svg-is-dir": [["gen", "--n", "6", "--out", "r.svg"],
@@ -143,6 +144,7 @@ COMMANDS.update({
 INPUTS = {
     "usage-estimate-bad-cell": {"cell.csv": b"2,2\n1,x\n3,4\n"},
     "usage-estimate-binary": {"binary.csv": bytes(range(256))},
+    "usage-estimate-binary-perm": {"binary.txt": bytes(range(256))},
 }
 
 
