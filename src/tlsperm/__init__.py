@@ -27,7 +27,6 @@ from .evaluation import (
     trace_max_check,
 )
 from .lap import solve_lap
-from .linalg import condition_number, frobenius_norm, singular_values, sym_eigvals
 from .model import (
     Observations,
     ProblemInstance,

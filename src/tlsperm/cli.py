@@ -79,7 +79,7 @@ class ExperimentConfig:
     init: str = "truth"
     fresh_design: bool = True
     workers: int = 1
-    points: list[tuple[int, np.ndarray, str]] = field(init=False, repr=False)
+    points: list[tuple[int, np.ndarray, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.points = _sweep_points(self)
@@ -110,40 +110,26 @@ def parse_estimators(text: str) -> list[str]:
     return labels
 
 
-def _start_size(spec: str, n: int | None = None) -> int:
-    """Check a truth|identity|random|partial=K spec, against n when given;
-    return K, or 0 for the specs without a size."""
-    k = 0
-    if spec.startswith("partial="):
-        try:
-            k = int(spec[len("partial="):])
-        except ValueError as exc:
-            raise ContractViolation(f"bad init spec {spec!r}") from exc
-        if k < 0:
-            raise ContractViolation("partial shuffle size must be nonnegative")
-    elif spec not in ("truth", "identity", "random"):
+def _shuffle_size(spec: str, n: int | None = None) -> int | None:
+    """Check a truth|identity|random|partial=K start spec, against n when given,
+    and return how many top rows partial_shuffle draws for it: 0 for truth (the
+    identity wherever this is called) and identity, n for random, K for
+    partial=K."""
+    if spec in ("truth", "identity"):
+        return 0
+    if spec == "random":
+        return n
+    if not spec.startswith("partial="):
         raise ContractViolation(f"unknown init spec {spec!r}")
+    try:
+        k = int(spec[len("partial="):])
+    except ValueError as exc:
+        raise ContractViolation(f"bad init spec {spec!r}") from exc
+    if k < 0:
+        raise ContractViolation("partial shuffle size must be nonnegative")
     if n is not None and k > n:
         raise ContractViolation(f"partial shuffle size {k} exceeds n={n}")
     return k
-
-
-def _resolve_permutation(spec: str, n: int, rng=None, truth=None):
-    """Resolve a truth|identity|random|partial=K spec to a permutation of 0..n-1.
-
-    truth returns a copy of `truth`, which must then be known; random and
-    partial=K draw from rng.
-    """
-    k = _start_size(spec, n)
-    if spec == "truth":
-        if truth is None:
-            raise ContractViolation("--init truth needs a known true permutation")
-        return np.array(truth, dtype=np.intp)
-    if spec == "identity":
-        return identity_permutation(n)
-    if spec == "random":
-        return random_permutation(n, rng)
-    return partial_shuffle(n, k, rng)
 
 
 def _mixing(p: int, theta: float, rng) -> np.ndarray:
@@ -153,8 +139,9 @@ def _mixing(p: int, theta: float, rng) -> np.ndarray:
     return r if p == 2 else random_orthogonal(p, rng)
 
 
-def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
-    """Validate the sweep and resolve each grid value g to (n, covariance, start spec).
+def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, int]]:
+    """Validate the sweep and resolve each grid value g to (n, covariance, k):
+    the estimators start from partial_shuffle(n, k), a shuffle of the top k rows.
 
     The true permutation is always the identity. By axis:
     noise: g is the scalar noise level, at n = cfg.n;
@@ -162,7 +149,7 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
     snr: as n, with the covariance scaled by (grid[0] / g)^2, so the
       signal-to-noise ratio degrades on a fixed schedule;
     shuffle: g in [0, 1] is a fraction, at n = cfg.n with noise cfg.sigma; the
-      estimators start from partial=round(g * n), a shuffle of the top rows.
+      estimators start from a shuffle of the top round(g * n) rows.
     Every other axis starts from cfg.init, which is checked on every axis.
     cfg.sigma and cfg.theta are checked on every axis and at every p, then
     each point's start against its n, all before any trial runs.
@@ -177,7 +164,7 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
         raise ContractViolation("workers must be >= 1")
     if cfg.p < 1:
         raise ContractViolation("p must be >= 1")
-    _start_size(cfg.init)
+    _shuffle_size(cfg.init)
     if not cfg.estimators or not set(cfg.estimators) <= set(ESTIMATOR_LABELS):
         raise ContractViolation(
             f"estimators must be labels from {ESTIMATOR_LABELS}, got {cfg.estimators}")
@@ -203,9 +190,8 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, str]]:
     points = []
     for g, n, cov in zip(cfg.grid, ns, covs):
         scale = cfg.grid[0] / n if cfg.axis == "snr" else 1.0
-        start = f"partial={round(float(g) * n)}" if cfg.axis == "shuffle" else cfg.init
-        _start_size(start, n)
-        points.append((n, cov * scale * scale, start))
+        k = round(float(g) * n) if cfg.axis == "shuffle" else _shuffle_size(cfg.init, n)
+        points.append((n, cov * scale * scale, k))
     return points
 
 
@@ -218,7 +204,7 @@ def _run_estimator(label: str, y1, y2, init) -> EstimateResult:
 
 
 def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
-                      n: int, cov: np.ndarray, start: str) -> list[dict]:
+                      n: int, cov: np.ndarray, k: int) -> list[dict]:
     rng = stream(cfg.seed, gi, ti)
     if cfg.fresh_design:
         design_rng = rng
@@ -229,7 +215,7 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
     x = generate_design(n, cfg.p, design_rng)
     r = _mixing(cfg.p, cfg.theta, design_rng)
     pi_star = identity_permutation(n)
-    init = _resolve_permutation(start, n, rng, truth=pi_star)
+    init = partial_shuffle(n, k, rng)
     obs = generate_observations(ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov), rng)
     records = []
     for label in cfg.estimators:
@@ -421,6 +407,8 @@ def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
+    # the eigtail options are checked on every kind, before any draw
+    tail_rhs = eig_tail_rhs(as_covariance(1.0, p), n, eps)
     rows: list[dict] = []
     violations = 0
     if kind in ("procrustes", "tracemax"):
@@ -442,8 +430,6 @@ def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
         return rows, violations
     if kind != "eigtail":
         raise ContractViolation(f"unknown suite kind {kind!r}")
-    cov = as_covariance(1.0, p)
-    rhs = eig_tail_rhs(cov, n, eps)  # validates n and eps before any draw
     lam1 = 1.0
     threshold = 2.0 * n * lam1 * (1.0 + eps)
     exceed = 0
@@ -456,10 +442,10 @@ def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
         if top2 + top1 >= threshold:
             exceed += 1
     freq = exceed / trials
-    bad = freq > rhs
+    bad = freq > tail_rhs
     violations = int(bad)
     rows.append({"kind": kind, "trial": trials, "n": n, "p": p,
-                 "lhs": freq, "rhs": rhs, "violation": int(bad)})
+                 "lhs": freq, "rhs": tail_rhs, "violation": int(bad)})
     return rows, violations
 
 
@@ -584,8 +570,7 @@ def _generate_cli_instance(args, perm_spec: str):
     cov = as_covariance(_sigma_value(args.sigma), args.p)
     x = generate_design(args.n, args.p, rng)
     r = _mixing(args.p, args.theta, rng)
-    # --perm truth names the identity here
-    pi_star = _resolve_permutation(perm_spec, args.n, rng, truth=identity_permutation(args.n))
+    pi_star = partial_shuffle(args.n, _shuffle_size(perm_spec, args.n), rng)
     inst = ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov)
     return inst, generate_observations(inst, rng)
 
@@ -632,7 +617,12 @@ def _cmd_estimate(args) -> int:
         inst, obs = _generate_cli_instance(args, "identity")
         y1, y2, x, pi_star = obs.y1, obs.y2, inst.x, inst.pi_star
     n = y1.shape[0]
-    init = _resolve_permutation(args.init, n, stream(args.seed, 1), truth=pi_star)
+    if args.init == "truth":  # the known pi_star, which need not be the identity
+        if pi_star is None:
+            raise ContractViolation("--init truth needs a known true permutation")
+        init = pi_star
+    else:
+        init = partial_shuffle(n, _shuffle_size(args.init, n), stream(args.seed, 1))
     result = _run_estimator(label, y1, y2, init)
     print(f"estimator: {label}")
     print(f"objective: {format_float(result.best_objective)}")

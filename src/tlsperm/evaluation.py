@@ -12,15 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import (
-    _orthogonal_procrustes,
-    _svd,
-    as_matrix,
-    condition_number,
-    frobenius_norm,
-    singular_values,
-    sym_eigvals,
-)
+from .linalg import _orthogonal_procrustes, _singular_values, _svd, _sym_eigvals, as_matrix
 from .model import (
     Rng,
     _check_covariance,
@@ -116,11 +108,11 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
         raise ContractViolation(f"mixing matrix must be {p}x{p}, got {rm.shape}")
     if not (0.0 < eta < math.inf and 0.0 < c < math.inf):
         raise ContractViolation("eta and c must be positive")
-    norm_x = frobenius_norm(mat)
+    norm_x = float(np.linalg.norm(mat))
     if norm_x <= 0.0:
         raise ContractViolation("design must be nonzero")
     cov = as_covariance(sigma, p)
-    vals = sym_eigvals(cov)
+    vals = _sym_eigvals(cov)
     lam1 = float(vals[0])
     trace = float(vals.sum())
     prob_statement = 1.0 - n ** (-eta * eta)
@@ -132,7 +124,7 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
             probability_derivation=prob_derivation,
             noiseless=True,
         )
-    sr = singular_values(rm)
+    sr = _singular_values(rm)
     if sr[-1] <= 1e-12 * sr[0]:
         raise ContractViolation("mixing matrix must be invertible")
     s_top = max(1.0, float(sr[0]))
@@ -163,7 +155,7 @@ def eig_tail_rhs(sigma, n: int, eps: float, c: float = 1.0 / 32.0) -> float:
         raise ContractViolation(f"eps must lie in (0, 4n], got {eps}")
     if not 0.0 < c < math.inf:
         raise ContractViolation("c must be positive")
-    vals = sym_eigvals(cov)
+    vals = _sym_eigvals(cov)
     lam1 = float(vals[0])
     if lam1 <= 0.0:
         raise ContractViolation("covariance must have a positive top eigenvalue")
@@ -178,7 +170,10 @@ def procrustes_residual_gap(x, pi) -> tuple[float, float]:
     """(lhs, rhs) of: best orthogonal alignment of x[pi] onto x is bounded by
     twice the rank-p residual of [x | x[pi]]. Needs a perfectly conditioned x."""
     mat = as_matrix(x, "design")
-    if abs(condition_number(mat) - 1.0) > 1e-6:
+    s = _singular_values(mat)
+    # condition number s[0] / s[-1], inf for a wide or rank-deficient design
+    infinite = mat.shape[0] < mat.shape[1] or not s[-1] > 1e-12 * s[0]
+    if infinite or abs(s[0] / s[-1] - 1.0) > 1e-6:
         raise ContractViolation("check requires condition number 1")
     perm = as_permutation(pi, mat.shape[0])
     _, lhs = _orthogonal_procrustes(mat, mat[perm])
@@ -202,14 +197,14 @@ def trace_max_check(x, pi, samples: int = 256, rng: Rng | None = None) -> tuple[
     if rng is None:
         rng = stream(0)
     m = mat.T @ mat[perm]
-    f = _svd(m)
-    rhs = float(f.s.sum())
+    u, s, v = _svd(m)
+    rhs = float(s.sum())
 
     def value(u: np.ndarray, v: np.ndarray) -> float:
         return 2.0 * float(np.sum(u * (m @ v)))
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    best = value(f.u * inv_sqrt2, f.v * inv_sqrt2)
+    best = value(u * inv_sqrt2, v * inv_sqrt2)
     for k in range(samples):
         if k % 2 == 0:
             # general feasible pair: orthonormal columns of a tall QR, split

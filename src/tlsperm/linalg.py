@@ -2,10 +2,11 @@
 
 Everything downstream assumes the conventions fixed here: thin factorizations,
 singular values and eigenvalues sorted descending, and a deterministic sign for
-singular vectors so repeated runs produce identical factors. The public
-functions check their input with ``as_matrix``; the underscored kernels
-(``_svd``, ``_singular_values``, ``_solve``, ``_orthogonal_procrustes``) take
-matrices that are already checked.
+singular vectors so repeated runs produce identical factors. The only public
+function is ``as_matrix``, the check that the package's public functions run
+on their matrix inputs; the underscored kernels (``_svd``,
+``_singular_values``, ``_sym_eigvals``, ``_solve``, ``_orthogonal_procrustes``)
+take matrices that are already checked.
 
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
@@ -20,7 +21,6 @@ raises NumericalFailure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -30,8 +30,6 @@ from .errors import ContractViolation, NumericalFailure
 _gesdd = lapack.dgesdd
 _gesv = lapack.dgesv
 _lange = lapack.dlange
-
-_RANK_TOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -51,17 +49,9 @@ def _all_finite(arr: np.ndarray) -> bool:
     return math.isfinite(_lange("M", arr.T))
 
 
-@dataclass
-class SvdResult:
-    """Thin SVD factors: a = u @ diag(s) @ v.T with s sorted descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-def _svd(arr: np.ndarray) -> SvdResult:
-    """Thin SVD of a validated matrix with a deterministic sign convention.
+def _svd(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin factors (u, s, v) of a validated matrix, as _svd_factors returns
+    them, with a deterministic sign convention.
 
     Each left singular vector is flipped, together with its right partner, so
     that its largest-magnitude entry is positive (first such entry on ties).
@@ -74,7 +64,7 @@ def _svd(arr: np.ndarray) -> SvdResult:
     u, s, v = _svd_factors(arr)
     pivots = np.abs(u).argmax(axis=0)
     signs = np.copysign(1.0, u[pivots, np.arange(s.shape[0])])
-    return SvdResult(u=u * signs, s=s, v=v * signs)
+    return u * signs, s, v * signs
 
 
 def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -85,13 +75,9 @@ def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt.T)
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values only, descending. Cheaper than _svd when factors are unused."""
-    return _singular_values(as_matrix(a, "singular_values input"))
-
-
 def _singular_values(arr: np.ndarray) -> np.ndarray:
-    """singular_values() on an array that is already a validated matrix."""
+    """Singular values of a validated matrix, descending. Cheaper than _svd
+    when the factors are unused."""
     _, s, _, info = _gesdd(arr, compute_uv=0)
     _check_info("dgesdd", info)
     return s
@@ -111,16 +97,10 @@ def _check_info(driver: str, info: int) -> None:
         raise NumericalFailure(f"{driver} failed with info={info}")
 
 
-def sym_eigvals(a) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-    arr = as_matrix(a, "sym_eigvals input")
-    if arr.shape[0] != arr.shape[1]:
-        raise ContractViolation(f"sym_eigvals needs a square matrix, got {arr.shape}")
-    asym = np.linalg.norm(arr - arr.T)
-    if asym > 1e-12 * (1.0 + np.linalg.norm(arr)):
-        raise ContractViolation("sym_eigvals input is not symmetric")
-    vals = np.linalg.eigvalsh((arr + arr.T) / 2.0)
-    return vals[::-1]
+def _sym_eigvals(arr: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a validated square matrix after symmetrising it,
+    descending."""
+    return np.linalg.eigvalsh((arr + arr.T) / 2.0)[::-1]
 
 
 def _orthogonal_procrustes(am: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float]:
@@ -129,23 +109,8 @@ def _orthogonal_procrustes(am: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, 
     Returns (q, loss) with q minimizing ||am - bm q||_F^2 over the full orthogonal
     group, reflections included, and loss the attained minimum.
     """
-    f = _svd(bm.T @ am)
-    q = f.u @ f.v.T
+    u, _, v = _svd(bm.T @ am)
+    q = u @ v.T
     loss = float(np.linalg.norm(am - bm @ q) ** 2)
     return q, loss
 
-
-def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(a, "frobenius_norm input")))
-
-
-def condition_number(a) -> float:
-    """Ratio of largest to smallest singular value, inf when rank deficient."""
-    arr = as_matrix(a, "condition_number input")
-    if arr.shape[0] < arr.shape[1]:
-        raise ContractViolation("condition_number expects at least as many rows as columns")
-    s = _singular_values(arr)
-    if s[0] <= 0.0 or s[-1] <= _RANK_TOL * s[0]:
-        return float("inf")
-    return float(s[0] / s[-1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, RankDeficient
-from .linalg import _svd, as_matrix
+from .linalg import _svd, _sym_eigvals, as_matrix
 
 Rng = np.random.Generator
 
@@ -104,8 +104,8 @@ def _check_covariance(cov: np.ndarray, p: int) -> np.ndarray:
         raise ContractViolation(f"covariance must be {p}x{p}, got {cov.shape}")
     if np.linalg.norm(cov - cov.T) > 1e-12 * (1.0 + np.linalg.norm(cov)):
         raise ContractViolation("covariance must be symmetric")
-    vals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
-    if vals[0] < -1e-12 * max(1.0, float(vals[-1])):
+    vals = _sym_eigvals(cov)
+    if vals[-1] < -1e-12 * max(1.0, float(vals[0])):
         raise ContractViolation("covariance must be positive semidefinite")
     return cov
 
@@ -117,9 +117,8 @@ def generate_design(n: int, p: int, rng: Rng) -> np.ndarray:
         raise ContractViolation(f"generate_design needs 1 <= p <= n, got n={n}, p={p}")
     for _ in range(2):
         draw = rng.standard_normal((n, p))
-        f = _svd(draw)
-        if f.s[-1] > 1e-10 * f.s[0]:
-            u = f.u
+        u, s, _ = _svd(draw)
+        if s[-1] > 1e-10 * s[0]:
             return math.sqrt(n * p) * u / float(np.linalg.norm(u))
     raise RankDeficient("gaussian draw was rank deficient twice in a row")
 

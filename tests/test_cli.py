@@ -166,6 +166,33 @@ class TestEstimate:
         assert fields["hamming"] == "0"
         assert float(fields["procrustes_loss"]) <= 1e-12
 
+    def test_init_truth_starts_from_the_known_permutation(self, tmp_path, capsys, monkeypatch):
+        """--init truth is the true permutation read with --truth-perm, not the
+        identity; without one it is a usage error before any estimator runs."""
+        inst = tmp_path / "inst"
+        assert run("gen", "--n", 10, "--sigma", 0.1, "--perm", "random",
+                   "--seed", 5, "--out", inst) == 0
+        capsys.readouterr()
+        pi_star = read_permutation(inst / "pi_star.txt")
+        assert not np.array_equal(pi_star, np.arange(10))
+        starts = []
+        real = cli._run_estimator
+
+        def recording(label, y1, y2, init):
+            starts.append(init)
+            return real(label, y1, y2, init)
+
+        monkeypatch.setattr(cli, "_run_estimator", recording)
+        route = ("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv", "--init", "truth")
+        assert run(*route, "--truth-perm", inst / "pi_star.txt") == 0
+        assert len(starts) == 1 and np.array_equal(starts[0], pi_star)
+        capsys.readouterr()
+        assert run(*route) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --init truth needs a known true permutation\n"
+        assert len(starts) == 1
+
     def test_theta_checked_at_every_p(self, capsys):
         assert run("estimate", "--p", 3, "--theta", "inf") == 1
         captured = capsys.readouterr()
@@ -314,8 +341,9 @@ class TestSweep:
         assert records_without_timing(a) == records_without_timing(b)
 
     def test_shuffle_point_is_noise_point_with_partial_start(self, tmp_path, capsys):
-        """A shuffle fraction g is the start spec partial=round(g * n): the
-        records match a noise sweep at the same sigma started that way."""
+        """A shuffle fraction g starts from a shuffle of the top round(g * n)
+        rows: the records match a noise sweep at the same sigma started from
+        partial=round(g * n)."""
         common = ("--n", 12, "--trials", 3, "--seed", 6, "--estimator", "alta:c3,aloa")
         shuffled = tmp_path / "shuffle.csv"
         noise = tmp_path / "noise.csv"
@@ -563,6 +591,9 @@ class TestLemmaCommand:
         assert run("lemma", "--kind", "eigtail", "--p", -1) == 1
         assert run("lemma", "--kind", "eigtail", "--p", 0) == 1
         assert run("lemma", "--kind", "eigtail", "--n", -5) == 1
+        # the eigtail options are checked on every kind
+        assert run("lemma", "--kind", "procrustes", "--trials", 3, "--n", -5) == 1
+        assert run("lemma", "--kind", "tracemax", "--trials", 3, "--eps", -1, "--p", 0) == 1
 
 
 class TestReadme:

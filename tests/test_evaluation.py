@@ -237,9 +237,12 @@ class TestProcrustesResidualGap:
         assert positive > 50
 
     def test_requires_unit_condition_number(self):
-        x = generate_design(8, 2, stream(53)) @ np.diag([2.0, 1.0])
-        with pytest.raises(ContractViolation):
-            procrustes_residual_gap(x, identity_permutation(8))
+        stretched = generate_design(8, 2, stream(53)) @ np.diag([2.0, 1.0])
+        rank_deficient = np.ones((4, 2))
+        wide = np.eye(2, 3)  # its two singular values are equal
+        for x in (stretched, rank_deficient, np.zeros((4, 2)), wide):
+            with pytest.raises(ContractViolation, match="^check requires condition number 1$"):
+                procrustes_residual_gap(x, identity_permutation(x.shape[0]))
 
 
 class TestTraceMaxCheck:

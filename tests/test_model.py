@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsperm.errors import ContractViolation
-from tlsperm.linalg import condition_number, frobenius_norm
 from tlsperm.model import (
     Observations,
     ProblemInstance,
@@ -85,14 +86,34 @@ class TestPartialShuffle:
         with pytest.raises(ContractViolation):
             partial_shuffle(4, -1, stream(5))
 
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_full_and_empty_shuffles_are_the_other_starts(self, n, seed):
+        """The command line draws every start as partial_shuffle(n, k). k = n is
+        random_permutation: the same values and dtype, and the stream left in
+        the same state. k = 0 is identity_permutation and draws nothing."""
+        def state(rng):
+            return repr(rng.bit_generator.state)
+
+        full_rng, ref_rng = stream(seed), stream(seed)
+        full = partial_shuffle(n, n, full_rng)
+        ref = random_permutation(n, ref_rng)
+        assert full.dtype == ref.dtype and np.array_equal(full, ref)
+        assert state(full_rng) == state(ref_rng)
+        empty_rng = stream(seed)
+        empty = partial_shuffle(n, 0, empty_rng)
+        ident = identity_permutation(n)
+        assert empty.dtype == ident.dtype and np.array_equal(empty, ident)
+        assert state(empty_rng) == state(stream(seed))
+
 
 class TestGenerateDesign:
     @pytest.mark.parametrize("n,p", [(4, 2), (10, 2), (12, 3), (5, 1), (3, 3)])
     def test_norm_and_conditioning(self, n, p):
         x = generate_design(n, p, stream(6, n, p))
         assert x.shape == (n, p)
-        assert frobenius_norm(x) == pytest.approx(math.sqrt(n * p), abs=1e-10)
-        assert abs(condition_number(x) - 1.0) <= 1e-8
+        assert np.linalg.norm(x) == pytest.approx(math.sqrt(n * p), abs=1e-10)
+        assert abs(np.linalg.cond(x) - 1.0) <= 1e-8
 
     def test_single_cell_is_unit(self):
         x = generate_design(1, 1, stream(7))

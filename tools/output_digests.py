@@ -44,6 +44,8 @@ SWEEPS = {
                      "--svg"],
     "p3": ["--sweep", "noise", "--grid", "0.05,0.2", "--n", "30", "--p", "3",
            "--trials", "5", "--seed", "11", "--estimator", "alta:c2,aloa", "--init", "random"],
+    "init-identity": ["--sweep", "noise", "--grid", "0.1,0.3", "--n", "12", "--trials", "4",
+                      "--seed", "21", "--estimator", "alta,aloa", "--init", "identity"],
 }
 GEN_A = ["gen", "--n", "10", "--sigma", "0.1", "--perm", "random", "--seed", "7", "--out", "A"]
 GEN_B = ["gen", "--n", "8", "--sigma", "0.1", "--perm", "random", "--seed", "8", "--out", "B"]
@@ -90,6 +92,8 @@ USAGE_ERRORS = [
     ["estimate", "--estimator", "alta:c9"],
     ["estimate", "--cost", "c1"],
     ["sweep", "--sweep", "noise", "--grid", "0.1", "--estimator", "alta_c1"],
+    ["lemma", "--kind", "procrustes", "--trials", "3", "--n", "-5"],
+    ["lemma", "--kind", "tracemax", "--trials", "3", "--eps", "-1", "--p", "0"],
 ]
 SWEEP_POINT = ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--trials", "1"]
 
@@ -109,13 +113,18 @@ COMMANDS.update({
     "estimate-file-aloa-out": [GEN_A, FILE_ROUTE + ["--estimator", "aloa", "--out", "perm.txt"]],
     "gen-random": [GEN_A],
     "gen-partial-p3": [["gen", "--n", "12", "--p", "3", "--perm", "partial=4", "--out", "inst"]],
+    "gen-truth": [["gen", "--n", "8", "--perm", "truth", "--seed", "2", "--out", "inst"]],
+    "gen-identity": [["gen", "--n", "8", "--perm", "identity", "--seed", "2", "--out", "inst"]],
     "bruteforce": [["bruteforce", "--n", "7", "--sigma", "0.1", "--perm", "random",
                     "--seed", "2", "--out", "perm.txt"]],
     "bruteforce-n8": [["bruteforce", "--n", "8", "--sigma", "0.1", "--perm", "random",
                        "--seed", "3"]],
     "bruteforce-noiseless": [["bruteforce", "--n", "6", "--sigma", "0"]],
+    "bruteforce-partial": [["bruteforce", "--n", "6", "--sigma", "0.1", "--perm", "partial=3",
+                            "--seed", "4"]],
     "bound": [["bound", "--out", "bound.csv"]],
     "bound-sigma0": [["bound", "--sigma", "0", "--n", "50", "--eta", "1"]],
+    "bound-p3-cov": [["bound", "--p", "3", "--sigma", "cov.csv"]],
     "lemma-procrustes": [["lemma", "--kind", "procrustes", "--trials", "50",
                           "--out", "lemma.csv"]],
     "lemma-tracemax": [["lemma", "--kind", "tracemax", "--trials", "10"]],
@@ -124,6 +133,7 @@ COMMANDS.update({
         "--truth-x", "B/x.csv", "--truth-perm", "A/pi_star.txt"]],
     "usage-truth-perm-length": [GEN_A, GEN_B, FILE_ROUTE + [
         "--truth-x", "A/x.csv", "--truth-perm", "B/pi_star.txt"]],
+    "usage-init-truth-file": [GEN_A, FILE_ROUTE + ["--init", "truth"]],
     "usage-noise-axis-sigma-p3": [GEN_B, ["sweep", "--sweep", "noise", "--grid", "0.1",
                                           "--n", "12", "--p", "3", "--sigma", "B/sigma.csv",
                                           "--trials", "2", "--out", "records.csv"]],
@@ -168,6 +178,8 @@ HUGE = {
               "y2.csv": matrix_file([(-0.5,), (1,), (1.75,), (1.25,), (0.75,), (-1.5,),
                                      (1.5,)], 308)},
 }
+# a fixed anisotropic covariance for p = 3
+INPUTS["bound-p3-cov"] = {"cov.csv": matrix_file([(9, 2, 0), (2, 4, 1), (0, 1, 1)], -2)}
 for _scale, _files in HUGE.items():
     for _est in ("brute", "alta"):
         COMMANDS[f"huge-{_scale}-{_est}"] = [[
