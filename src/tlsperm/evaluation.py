@@ -12,14 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import _orthogonal_procrustes, _singular_values, _svd, _sym_eigvals, as_matrix
+from .linalg import _orthogonal_procrustes, _singular_values, _svd_factors, as_matrix
 from .model import (
     Rng,
     _check_covariance,
-    as_covariance,
+    _covariance_eigvals,
+    _snr,
     as_permutation,
     random_orthogonal,
-    snr,
     stream,
 )
 from .tls import tls_objective
@@ -111,8 +111,7 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
     norm_x = float(np.linalg.norm(mat))
     if norm_x <= 0.0:
         raise ContractViolation("design must be nonzero")
-    cov = as_covariance(sigma, p)
-    vals = _sym_eigvals(cov)
+    cov, vals = _covariance_eigvals(sigma, p)
     lam1 = float(vals[0])
     trace = float(vals.sum())
     prob_statement = 1.0 - n ** (-eta * eta)
@@ -134,7 +133,7 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
         16.0 * s_top * norm_x * math.sqrt(2.0 * n) + 2.0 * n
     )
     return BoundValue(
-        bound=bound, a_n=a_n, snr=snr(mat, cov),
+        bound=bound, a_n=a_n, snr=_snr(mat, cov),
         probability_statement=prob_statement,
         probability_derivation=prob_derivation,
     )
@@ -148,14 +147,13 @@ def eig_tail_rhs(sigma, n: int, eps: float, c: float = 1.0 / 32.0) -> float:
     """
     cov = as_matrix(sigma, "covariance")
     p = cov.shape[0]
-    cov = _check_covariance(cov, p)
+    _, vals = _check_covariance(cov, p)
     if n < 1:
         raise ContractViolation("n must be >= 1")
     if not 0.0 < eps <= 4.0 * n:
         raise ContractViolation(f"eps must lie in (0, 4n], got {eps}")
     if not 0.0 < c < math.inf:
         raise ContractViolation("c must be positive")
-    vals = _sym_eigvals(cov)
     lam1 = float(vals[0])
     if lam1 <= 0.0:
         raise ContractViolation("covariance must have a positive top eigenvalue")
@@ -197,7 +195,7 @@ def trace_max_check(x, pi, samples: int = 256, rng: Rng | None = None) -> tuple[
     if rng is None:
         rng = stream(0)
     m = mat.T @ mat[perm]
-    u, s, v = _svd(m)
+    u, s, v = _svd_factors(m)
     rhs = float(s.sum())
 
     def value(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 """Dense linear-algebra primitives with pinned conventions.
 
 Everything downstream assumes the conventions fixed here: thin factorizations,
-singular values and eigenvalues sorted descending, and a deterministic sign for
-singular vectors so repeated runs produce identical factors. The only public
-function is ``as_matrix``, the check that the package's public functions run
-on their matrix inputs; the underscored kernels (``_svd``,
-``_singular_values``, ``_sym_eigvals``, ``_solve``, ``_orthogonal_procrustes``)
-take matrices that are already checked.
+singular values and eigenvalues sorted descending, and singular vectors with
+the signs LAPACK chose. Callers that use both factors pair u_k with v_k, so a
+joint sign flip cancels bit for bit; ``model.generate_design`` keeps u alone
+and fixes its signs itself. The only public function is ``as_matrix``, the
+check that the package's public functions run on their matrix inputs; the
+underscored kernels (``_svd_factors``, ``_singular_values``, ``_sym_eigvals``,
+``_solve``, ``_orthogonal_procrustes``) take matrices that are already checked.
 
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
@@ -49,24 +50,6 @@ def _all_finite(arr: np.ndarray) -> bool:
     return math.isfinite(_lange("M", arr.T))
 
 
-def _svd(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin factors (u, s, v) of a validated matrix, as _svd_factors returns
-    them, with a deterministic sign convention.
-
-    Each left singular vector is flipped, together with its right partner, so
-    that its largest-magnitude entry is positive (first such entry on ties).
-    The rule is applied to all columns at once: the pivot of column k is
-    argmax |u[:, k]|, the first index among equal magnitudes, and columns
-    whose pivot entry is negative are multiplied by -1 (exact, so the factors
-    equal a column-by-column negation bit for bit). A pivot entry is never
-    zero, as the columns of u have unit norm.
-    """
-    u, s, v = _svd_factors(arr)
-    pivots = np.abs(u).argmax(axis=0)
-    signs = np.copysign(1.0, u[pivots, np.arange(s.shape[0])])
-    return u * signs, s, v * signs
-
-
 def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw thin factors (u, s, v) of a validated matrix, a = u @ diag(s) @ v.T,
     C-ordered, with the signs LAPACK chose."""
@@ -76,8 +59,8 @@ def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _singular_values(arr: np.ndarray) -> np.ndarray:
-    """Singular values of a validated matrix, descending. Cheaper than _svd
-    when the factors are unused."""
+    """Singular values of a validated matrix, descending. Cheaper than
+    _svd_factors when the factors are unused."""
     _, s, _, info = _gesdd(arr, compute_uv=0)
     _check_info("dgesdd", info)
     return s
@@ -109,7 +92,7 @@ def _orthogonal_procrustes(am: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, 
     Returns (q, loss) with q minimizing ||am - bm q||_F^2 over the full orthogonal
     group, reflections included, and loss the attained minimum.
     """
-    u, _, v = _svd(bm.T @ am)
+    u, _, v = _svd_factors(bm.T @ am)
     q = u @ v.T
     loss = float(np.linalg.norm(am - bm @ q) ** 2)
     return q, loss

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, RankDeficient
-from .linalg import _svd, _sym_eigvals, as_matrix
+from .linalg import _svd_factors, _sym_eigvals, as_matrix
 
 Rng = np.random.Generator
 
@@ -95,11 +95,20 @@ def as_covariance(sigma, p: int) -> np.ndarray:
         if not math.isfinite(s * s):
             raise ContractViolation("covariance contains NaN or Inf entries")
         return (s * s) * np.eye(p)
+    return _check_covariance(as_matrix(sigma, "covariance"), p)[0]
+
+
+def _covariance_eigvals(sigma, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """as_covariance(sigma, p), p >= 1, and its eigenvalues from one eigvalsh."""
+    if np.isscalar(sigma):
+        cov = as_covariance(sigma, p)
+        return cov, _sym_eigvals(cov)
     return _check_covariance(as_matrix(sigma, "covariance"), p)
 
 
-def _check_covariance(cov: np.ndarray, p: int) -> np.ndarray:
-    """Check a validated matrix for shape p x p, symmetry and PSD; return it."""
+def _check_covariance(cov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check a validated matrix for shape p x p, symmetry and PSD; return it
+    and its eigenvalues, descending."""
     if cov.shape != (p, p):
         raise ContractViolation(f"covariance must be {p}x{p}, got {cov.shape}")
     if np.linalg.norm(cov - cov.T) > 1e-12 * (1.0 + np.linalg.norm(cov)):
@@ -107,18 +116,24 @@ def _check_covariance(cov: np.ndarray, p: int) -> np.ndarray:
     vals = _sym_eigvals(cov)
     if vals[-1] < -1e-12 * max(1.0, float(vals[0])):
         raise ContractViolation("covariance must be positive semidefinite")
-    return cov
+    return cov, vals
 
 
 def generate_design(n: int, p: int, rng: Rng) -> np.ndarray:
     """Well-conditioned design: orthonormal column basis of a Gaussian draw,
-    rescaled so the Frobenius norm is sqrt(n*p). Condition number is 1."""
+    rescaled so the Frobenius norm is sqrt(n*p). Condition number is 1.
+
+    The basis is u alone, so LAPACK's arbitrary signs would show: each column
+    is negated, exactly, unless its first largest-magnitude entry is positive.
+    This is the package's one sign rule; every other SVD pairs u with v, where
+    a joint flip cancels."""
     if not 1 <= p <= n:
         raise ContractViolation(f"generate_design needs 1 <= p <= n, got n={n}, p={p}")
     for _ in range(2):
         draw = rng.standard_normal((n, p))
-        u, s, _ = _svd(draw)
+        u, s, _ = _svd_factors(draw)
         if s[-1] > 1e-10 * s[0]:
+            u = u * np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(p)])
             return math.sqrt(n * p) * u / float(np.linalg.norm(u))
     raise RankDeficient("gaussian draw was rank deficient twice in a row")
 
@@ -138,39 +153,39 @@ def random_orthogonal(p: int, rng: Rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _sample_noise(n: int, cov: np.ndarray, rng: Rng) -> np.ndarray:
-    """n rows drawn i.i.d. from N(0, cov) for a validated symmetric PSD cov;
-    a singular cov is factored through its eigendecomposition."""
-    z = rng.standard_normal((n, cov.shape[0]))
+def _noise_factor(cov: np.ndarray) -> np.ndarray:
+    """l with l @ l.T = cov for a validated symmetric PSD cov, so z @ l.T has
+    N(0, cov) rows for standard normal z; eigh factors a singular cov."""
     try:
-        left = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        # PSD-singular: factor through the eigendecomposition, clipping dust.
+        # PSD-singular: clip the eigenvalues' rounding dust at zero.
         vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
-        left = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return z @ left.T
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def generate_observations(instance: ProblemInstance, rng: Rng) -> Observations:
-    """Draw one observed pair from the model."""
+    """Draw one observed pair from the model, factoring the covariance once."""
     x = as_matrix(instance.x, "design")
     n, p = x.shape
     r = as_matrix(instance.r, "mixing matrix")
     if r.shape != (p, p):
         raise ContractViolation(f"mixing matrix must be {p}x{p}, got {r.shape}")
     pi_star = as_permutation(instance.pi_star, n)
-    cov = as_covariance(instance.sigma, p)
-    e1 = _sample_noise(n, cov, rng)
-    e2 = _sample_noise(n, cov, rng)
-    y1 = x + e1
-    y2 = x[pi_star] @ r + e2
+    left_t = _noise_factor(as_covariance(instance.sigma, p)).T
+    y1 = x + rng.standard_normal((n, p)) @ left_t
+    y2 = x[pi_star] @ r + rng.standard_normal((n, p)) @ left_t
     return Observations(y1=y1, y2=y2)
 
 
 def snr(x, sigma) -> float:
     """Signal-to-noise ratio ||x||_F^2 / (n * tr(sigma)); inf for zero noise."""
     mat = as_matrix(x, "design")
-    cov = as_covariance(sigma, mat.shape[1])
+    return _snr(mat, as_covariance(sigma, mat.shape[1]))
+
+
+def _snr(mat: np.ndarray, cov: np.ndarray) -> float:
+    """snr() on a validated design and covariance."""
     trace = float(np.trace(cov))
     if trace <= 0.0:
         return float("inf")

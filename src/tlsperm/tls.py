@@ -103,9 +103,10 @@ def _stack_fit(stack: np.ndarray, p: int) -> TlsFit:
     has orthonormal columns, x_hat has the singular values of the p x p
     matrix S_p B.T, and x_hat @ r = y2_hat reduces to B.T @ r = A.T.
 
-    The raw LAPACK factors are used without the sign rule of linalg._svd.
-    Flipping column k of U and of V multiplies U_p, A and B on the right by
-    one D = diag(+-1), and D^2 = I, so x_hat = U_p D S_p D B.T and
+    The raw LAPACK factors are used as they come; the one sign rule lives in
+    model.generate_design, the only caller that keeps U alone. Flipping
+    column k of U and of V multiplies U_p, A and B on the right by one
+    D = diag(+-1), and D^2 = I, so x_hat = U_p D S_p D B.T and
     r_hat = (D B.T)^-1 (D A.T) are unchanged. They are unchanged bit for bit:
     negation is exact, each product in x_hat meets the sign twice, and the LU
     factorization of D B.T picks the same pivots as that of B.T, carrying row

@@ -3,8 +3,9 @@ cost-matrix entries against their definitions (including the closed-form
 minimum against a gradient-free minimizer), assignment composition pinned on
 noiseless instances, the iterative schemes' selection guarantees, the
 model's symmetries (relabelling y1, permuting both rows jointly, a common
-scale) for every estimator, and the descent that lets the iterative schemes
-stop at a fixed point."""
+scale, orthogonal column mixing) for every estimator and the role swap for
+all but aloa, and the descent that lets the iterative schemes stop at a fixed
+point."""
 from __future__ import annotations
 
 import itertools
@@ -470,7 +471,13 @@ class TestSymmetries:
     """The model's symmetries, for every estimator: n=20, sigma 0.2 and a
     random start for the iterative schemes, n=6 for brute force. Relabelling
     the rows of y1 hands every step the same aligned pair, so it holds
-    exactly; a joint row permutation and a common scale hold up to rounding."""
+    exactly; a joint row permutation, a common scale and orthogonal column
+    mixing hold up to rounding.
+
+    Swapping the roles of y1 and y2 gives the same model with the inverse
+    permutation and the inverse mixing. brute, c3 and c4 treat both sides
+    alike, and c1 and c2 are each other's dual. aloa treats y1 as noise-free,
+    so it has no such symmetry and is not tested for one."""
 
     ESTIMATORS = [*COST_KINDS, "aloa", "brute"]
 
@@ -524,6 +531,33 @@ class TestSymmetries:
                 assert res.iterations == ref.iterations, scale
                 assert res.best_objective / scale**2 == pytest.approx(
                     ref.best_objective, rel=1e-9), scale
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_orthogonal_column_mixing_leaves_the_estimate_unchanged(self, estimator):
+        # y1 -> y1 q1, y2 -> y2 q2 multiplies the stack [y2 | y1p] on the
+        # right by a block-orthogonal matrix: every fit and cost is unchanged
+        for seed in range(500, 510):
+            y1, y2, init = self.instance(estimator, seed)
+            q1 = random_orthogonal(2, stream(seed, 4))
+            q2 = random_orthogonal(2, stream(seed, 5))
+            ref = self.solve(estimator, y1, y2, init)
+            res = self.solve(estimator, y1 @ q1, y2 @ q2, init)
+            assert np.array_equal(res.perm, ref.perm)
+            assert res.iterations == ref.iterations
+            assert res.objective_trace == pytest.approx(ref.objective_trace, rel=1e-9)
+
+    @pytest.mark.parametrize("estimator, dual", [
+        ("brute", "brute"), ("c3", "c3"), ("c4", "c4"), ("c1", "c2"), ("c2", "c1")])
+    def test_role_swap_inverts_the_estimate(self, estimator, dual):
+        # dual on (y2, y1) from the inverse start returns the inverse of
+        # estimator on (y1, y2)
+        for seed in range(600, 610):
+            y1, y2, init = self.instance(estimator, seed)
+            ref = self.solve(estimator, y1, y2, init)
+            res = self.solve(dual, y2, y1, np.argsort(init))
+            assert np.array_equal(res.perm, np.argsort(ref.perm))
+            assert res.iterations == ref.iterations
+            assert res.objective_trace == pytest.approx(ref.objective_trace, rel=1e-9)
 
 
 class TestDescent:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsperm.errors import ContractViolation
 from tlsperm.evaluation import (
@@ -21,6 +23,7 @@ from tlsperm.evaluation import (
 from tlsperm.model import (
     generate_design,
     identity_permutation,
+    random_orthogonal,
     random_permutation,
     rotation_2d,
     snr,
@@ -81,6 +84,18 @@ class TestMetrics:
             norm_sq = float(np.linalg.norm(x) ** 2)
             assert -1e-15 <= proc <= quad * n * p / norm_sq + 1e-12
             assert proc <= 4.0 + 1e-9
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), extra=st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_procrustes_loss_is_invariant_under_orthogonal_mixing(self, seed, p, extra):
+        # the loss minimises over orthogonal maps, so x -> x q cannot move it
+        rng = stream(seed)
+        n = p + extra + 1
+        x = rng.standard_normal((n, p))
+        star, hat = random_permutation(n, rng), random_permutation(n, rng)
+        q = random_orthogonal(p, rng)
+        assert procrustes_loss(x @ q, star, hat) == pytest.approx(
+            procrustes_loss(x, star, hat), rel=1e-9, abs=1e-12)
 
     def test_mismatched_sizes_and_zero_design_rejected(self):
         with pytest.raises(ContractViolation):

@@ -2,9 +2,12 @@
 grid search over the 2-D orthogonal group for the alignment problem, sampled
 trace maximization for the nuclear norm, squared singular values for the
 symmetric eigenvalues. The factorization kernels are private and take checked
-matrices, so they are called directly."""
+matrices, so they are called directly. The one sign rule for singular vectors,
+in generate_design, is checked here against a column-by-column reference."""
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -17,11 +20,11 @@ from tlsperm.linalg import (
     _orthogonal_procrustes,
     _singular_values,
     _solve,
-    _svd,
+    _svd_factors,
     _sym_eigvals,
     as_matrix,
 )
-from tlsperm.model import random_orthogonal, random_permutation, stream
+from tlsperm.model import generate_design, random_orthogonal, random_permutation, stream
 
 
 def grid_procrustes_loss(a: np.ndarray, b: np.ndarray, step: float = 1e-3) -> float:
@@ -90,10 +93,12 @@ class TestAsMatrix:
 
 
 class TestSvd:
+    """The raw factors of _svd_factors, with the signs LAPACK chose."""
+
     @pytest.mark.parametrize("shape", [(3, 3), (6, 2), (2, 6), (10, 4), (1, 1)])
     def test_reconstruction_and_orthonormal_factors(self, shape):
         a = stream(11, *shape).standard_normal(shape)
-        u, s, v = _svd(a)
+        u, s, v = _svd_factors(a)
         k = min(shape)
         assert u.shape == (shape[0], k) and v.shape == (shape[1], k)
         assert np.allclose(u @ np.diag(s) @ v.T, a, atol=1e-10)
@@ -102,24 +107,17 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
     def test_diagonal_matrix_known_values(self):
-        _, s, _ = _svd(np.diag([3.0, 1.0, 2.0]))
+        _, s, _ = _svd_factors(np.diag([3.0, 1.0, 2.0]))
         assert s == pytest.approx([3.0, 2.0, 1.0])
-
-    def test_sign_convention_largest_entry_positive(self):
-        a = stream(12).standard_normal((7, 3))
-        u, _, _ = _svd(a)
-        for k in range(3):
-            col = u[:, k]
-            assert col[int(np.argmax(np.abs(col)))] > 0
 
     def test_deterministic_repeat(self):
         a = stream(13).standard_normal((5, 4))
-        for first, second in zip(_svd(a), _svd(a)):
+        for first, second in zip(_svd_factors(a), _svd_factors(a)):
             assert np.array_equal(first, second)
 
     def test_singular_values_match_full_factorization(self):
         a = stream(14).standard_normal((8, 3))
-        assert _singular_values(a) == pytest.approx(_svd(a)[1], abs=1e-12)
+        assert _singular_values(a) == pytest.approx(_svd_factors(a)[1], abs=1e-12)
 
 
 def loop_sign_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
@@ -138,18 +136,31 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-class TestSvdSignRule:
-    """The vectorised sign rule in _svd must give the factors of the
-    column-by-column rule bit for bit: generate_design, the Procrustes metric
-    and the fit all depend on it, and with them byte-identical sweeps."""
+def scaled_design(u: np.ndarray) -> np.ndarray:
+    """generate_design's rescaling of an orthonormal basis u (n x p)."""
+    n, p = u.shape
+    return math.sqrt(n * p) * u / float(np.linalg.norm(u))
 
-    @pytest.mark.parametrize("shape", [(7, 3), (60, 4), (4, 60), (5, 5), (300, 2), (1, 1)])
+
+class TestSvdSignRule:
+    """generate_design keeps the left singular vectors alone, so it is the one
+    place where their signs show and the one place that fixes them. Its
+    vectorised rule must give the design of the column-by-column rule bit for
+    bit: byte-identical sweeps depend on it."""
+
+    @pytest.mark.parametrize("shape", [(7, 3), (60, 4), (5, 5), (300, 2), (1, 1), (2, 1)])
     def test_matches_column_loop_bitwise(self, shape):
         for seed in range(5):
-            a = stream(15, seed, *shape).standard_normal(shape)
-            got = _svd(a)
-            ref = loop_sign_svd(*np.linalg.svd(a, full_matrices=False))
-            assert all(same_bits(g, r) for g, r in zip(got, ref))
+            got = generate_design(*shape, stream(15, seed, *shape))
+            draw = stream(15, seed, *shape).standard_normal(shape)
+            ref_u, _, _ = loop_sign_svd(*np.linalg.svd(draw, full_matrices=False))
+            assert same_bits(got, scaled_design(ref_u))
+
+    def test_sign_convention_largest_entry_positive(self):
+        x = generate_design(7, 3, stream(12))
+        for k in range(3):
+            col = x[:, k]
+            assert col[int(np.argmax(np.abs(col)))] > 0
 
     @pytest.mark.parametrize("u", [
         [[-0.5, 0.0], [0.5, 0.0], [0.0, 1.0]],   # -[1, -1, 0]: flipped
@@ -164,12 +175,33 @@ class TestSvdSignRule:
         vt = np.array([[0.6, -0.8], [-0.8, -0.6]])
         monkeypatch.setattr(linalg, "_gesdd", lambda a, compute_uv, full_matrices: (
             np.asfortranarray(u), s, np.asfortranarray(vt), 0))
-        got_u, _, got_v = _svd(np.zeros((3, 2)))
-        ref_u, _, ref_v = loop_sign_svd(u, s, vt)
-        assert same_bits(got_u, ref_u) and same_bits(got_v, ref_v)
+        got = generate_design(3, 2, stream(16))
+        ref_u, _, _ = loop_sign_svd(u, s, vt)
+        assert same_bits(got, scaled_design(ref_u))
         for k in range(2):
-            mags = np.abs(got_u[:, k])
-            assert got_u[int(np.flatnonzero(mags == mags.max())[0]), k] > 0
+            mags = np.abs(got[:, k])
+            assert got[int(np.flatnonzero(mags == mags.max())[0]), k] > 0
+
+    def test_paired_factor_callers_do_not_see_the_signs(self, monkeypatch):
+        """The other SVD callers pair u_k with v_k: flipping any set of raw
+        factor pairs leaves the Procrustes map, its loss and the trace
+        maximiser's value bit for bit."""
+        rng = stream(17)
+        a, b = rng.standard_normal((9, 3)), rng.standard_normal((9, 3))
+        x, perm = rng.standard_normal((9, 3)), random_permutation(9, rng)
+        ref = (*_orthogonal_procrustes(a, b), trace_max_check(x, perm, samples=0))
+        real = linalg._gesdd
+        for flips in itertools.product((1.0, -1.0), repeat=3):
+            signs = np.array(flips)
+
+            def flipped(arr, compute_uv=1, full_matrices=1):
+                u, s, vt, info = real(arr, compute_uv=compute_uv, full_matrices=full_matrices)
+                return u * signs, s, vt * signs[:, None], info
+
+            monkeypatch.setattr(linalg, "_gesdd", flipped)
+            q, loss = _orthogonal_procrustes(a, b)
+            assert same_bits(q, ref[0]) and loss == ref[1]
+            assert trace_max_check(x, perm, samples=0) == ref[2]
 
 
 class TestLapackDrivers:
@@ -185,8 +217,10 @@ class TestLapackDrivers:
         rng = stream(24, *shape)
         for _ in range(3):
             a = rng.standard_normal(shape)
+            # LAPACK may sign the two routes' vectors differently; fix both
             ref = loop_sign_svd(*np.linalg.svd(a, full_matrices=False))
-            for got, want in (*zip(_svd(a), ref),
+            u, s, v = _svd_factors(a)
+            for got, want in (*zip(loop_sign_svd(u, s, v.T), ref),
                               (_singular_values(a), np.linalg.svd(a, compute_uv=False))):
                 np.testing.assert_array_max_ulp(got, want, maxulp=2)
             m = rng.standard_normal((k, k))
@@ -197,7 +231,7 @@ class TestLapackDrivers:
     def test_results_are_c_ordered(self, shape):
         a = stream(25, *shape).standard_normal(shape)
         x = _solve(a.T @ a, a.T)
-        for arr in (*_svd(a), _singular_values(a), x):
+        for arr in (*_svd_factors(a), _singular_values(a), x):
             assert arr.flags.c_contiguous
 
     def test_nonzero_info_is_numerical_failure(self, monkeypatch):
@@ -207,7 +241,7 @@ class TestLapackDrivers:
         monkeypatch.setattr(linalg, "_gesdd", failing(linalg._gesdd))
         monkeypatch.setattr(linalg, "_gesv", failing(linalg._gesv))
         a = stream(26).standard_normal((5, 2))
-        for call in (lambda: _svd(a), lambda: _singular_values(a),
+        for call in (lambda: _svd_factors(a), lambda: _singular_values(a),
                      lambda: _solve(a.T @ a, a.T)):
             with pytest.raises(NumericalFailure, match="info=1"):
                 call()

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from tlsperm import linalg
 from tlsperm.errors import ContractViolation, DegenerateFit
-from tlsperm.linalg import _svd
+from tlsperm.linalg import _svd_factors
 from tlsperm.model import (
     generate_design,
     random_orthogonal,
@@ -159,7 +159,7 @@ class TestFit:
             rng = stream(41, n, p, seed)
             y2 = rng.standard_normal((n, p))
             y1 = rng.standard_normal((n, p))
-            u, s, v = _svd(np.hstack((y2, y1)))
+            u, s, v = _svd_factors(np.hstack((y2, y1)))
             objective = float(np.sum(s[p:] ** 2))
             low_rank = (u[:, :p] * s[:p]) @ v[:, :p].T
             x_hat = low_rank[:, p:]
@@ -173,9 +173,9 @@ class TestFit:
 
     @pytest.mark.parametrize("n, p", [(7, 2), (60, 1), (300, 3)])
     def test_signs_of_raw_factors_cancel_bitwise(self, monkeypatch, n, p):
-        """The fit skips the sign rule of _svd: flipping any set of singular
-        vector pairs in the driver's factors leaves x_hat and r_hat bit for bit,
-        and both come back C-ordered."""
+        """The fit uses the raw factors, with no sign rule: flipping any set of
+        singular vector pairs in the driver's factors leaves x_hat and r_hat
+        bit for bit, and both come back C-ordered."""
         rng = stream(42, n, p)
         y2 = rng.standard_normal((n, p))
         y1 = rng.standard_normal((n, p))
@@ -195,6 +195,32 @@ class TestFit:
             assert fit.x_hat.tobytes() == ref.x_hat.tobytes()
             assert fit.r_hat.tobytes() == ref.r_hat.tobytes()
             assert fit.x_hat.flags.c_contiguous and fit.r_hat.flags.c_contiguous
+
+
+class TestOrthogonalColumnMixing:
+    """y1 -> y1 q1 and y2 -> y2 q2 multiply the stack [y2 | y1] on the right
+    by the block-orthogonal diag(q2, q1): the objective is unchanged and the
+    fit maps to x_hat q1 and q1.T r_hat q2. Rounding in the rank-p truncation
+    grows as the relative gap g between singular values p and p+1 of the
+    stack closes, and in r_hat also with the condition number of x_hat, so
+    the tolerances scale with 1/g and with that condition number."""
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), extra=st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_fit_and_objective_follow_the_mixing(self, seed, p, extra):
+        rng = stream(seed)
+        n = 2 * p + extra
+        y2, y1 = rng.standard_normal((n, p)), rng.standard_normal((n, p))
+        q1, q2 = random_orthogonal(p, rng), random_orthogonal(p, rng)
+        s = np.linalg.svd(np.hstack((y2, y1)), compute_uv=False)
+        tol = 1e-12 * s[0] / (s[p - 1] - s[p])
+        ref, fit = tls_fit(y2, y1), tls_fit(y2 @ q2, y1 @ q1)
+        for objective in (fit.objective, tls_objective(y2 @ q2, y1 @ q1)):
+            assert abs(objective - ref.objective) <= tol * s[0] ** 2
+        assert np.linalg.norm(fit.x_hat - ref.x_hat @ q1) <= tol * np.linalg.norm(ref.x_hat)
+        sx = np.linalg.svd(ref.x_hat, compute_uv=False)
+        assert np.linalg.norm(fit.r_hat - q1.T @ ref.r_hat @ q2) <= (
+            tol * sx[0] / sx[-1] * np.linalg.norm(ref.r_hat))
 
 
 def outcome(f, *args):

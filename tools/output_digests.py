@@ -115,6 +115,10 @@ COMMANDS.update({
     "gen-partial-p3": [["gen", "--n", "12", "--p", "3", "--perm", "partial=4", "--out", "inst"]],
     "gen-truth": [["gen", "--n", "8", "--perm", "truth", "--seed", "2", "--out", "inst"]],
     "gen-identity": [["gen", "--n", "8", "--perm", "identity", "--seed", "2", "--out", "inst"]],
+    "gen-p3-cov": [["gen", "--n", "12", "--p", "3", "--sigma", "cov.csv", "--perm", "random",
+                    "--seed", "6", "--out", "inst"]],
+    "gen-rank1-cov": [["gen", "--n", "10", "--sigma", "cov.csv", "--perm", "random",
+                       "--seed", "6", "--out", "inst"]],
     "bruteforce": [["bruteforce", "--n", "7", "--sigma", "0.1", "--perm", "random",
                     "--seed", "2", "--out", "perm.txt"]],
     "bruteforce-n8": [["bruteforce", "--n", "8", "--sigma", "0.1", "--perm", "random",
@@ -178,8 +182,13 @@ HUGE = {
               "y2.csv": matrix_file([(-0.5,), (1,), (1.75,), (1.25,), (0.75,), (-1.5,),
                                      (1.5,)], 308)},
 }
-# a fixed anisotropic covariance for p = 3
+# a fixed anisotropic covariance for p = 3; it is positive definite, so the
+# noise draw factors it by Cholesky
 INPUTS["bound-p3-cov"] = {"cov.csv": matrix_file([(9, 2, 0), (2, 4, 1), (0, 1, 1)], -2)}
+INPUTS["gen-p3-cov"] = INPUTS["bound-p3-cov"]
+# a nonzero rank-1 covariance for p = 2, [2, 1]^T [2, 1] written exactly: Cholesky
+# meets an exact zero pivot, so the noise draw takes the eigendecomposition route
+INPUTS["gen-rank1-cov"] = {"cov.csv": matrix_file([(4, 2), (2, 1)], 0)}
 for _scale, _files in HUGE.items():
     for _est in ("brute", "alta"):
         COMMANDS[f"huge-{_scale}-{_est}"] = [[
