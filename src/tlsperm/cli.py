@@ -2,6 +2,7 @@
 
 Subcommands: gen, estimate, sweep, bound, bruteforce, lemma. Exit codes:
 0 success, 1 usage error, 2 numerical failure, 3 inequality-suite violation.
+A closed stdout (``tlsperm ... | head``) ends the command quietly with 1.
 
 Sweeps are deterministic: every trial owns a counter-based stream keyed by
 (seed, grid index, trial index), records are sorted canonically before
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -721,7 +723,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader is gone: no error line, and what is still buffered
+        # goes to devnull so the interpreter's closing flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ContractViolation, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -26,6 +26,11 @@ permutation in one pass over the stack it factors.
 Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
 and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so
 an assignment ``a`` gives the next permutation ``pi[a]``.
+
+The c1-c3 costs and aloa's cost are squared row distances from one helper,
+``_sqdist`` (scipy's cdist). scipy.spatial loads at the first cost build and
+scipy.optimize at the first assignment, not with the package, so brute force
+loads neither.
 """
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ContractViolation, DegenerateFit, NumericalFailure, RankDeficient
 from .lap import solve_lap
@@ -47,6 +51,8 @@ COST_KINDS = ("c1", "c2", "c3", "c4")
 BRUTE_FORCE_LIMIT = 9
 STALL_TOL = 1e-10  # relative; the only stop for ping-pong between exact ties
 MAX_ITER = 50  # fits per alternation
+
+_cdist = None  # scipy.spatial.distance.cdist, once bound
 
 
 @dataclass
@@ -126,11 +132,11 @@ def _cost(kind: str, x_hat: np.ndarray, r_hat: np.ndarray,
           m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """build_cost() on validated arrays."""
     if kind == "c1":
-        return cdist(m2, x_hat @ r_hat, "sqeuclidean")
+        return _sqdist(m2, x_hat @ r_hat)
     if kind == "c2":
-        return cdist(x_hat, m1, "sqeuclidean")
+        return _sqdist(x_hat, m1)
     if kind == "c3":
-        return cdist(m2, x_hat @ r_hat, "sqeuclidean") + cdist(x_hat, m1, "sqeuclidean")
+        return _sqdist(m2, x_hat @ r_hat) + _sqdist(x_hat, m1)
     # c4: with u_i = r_hat @ y2[i], v_j = y1[j], m = r_hat r_hat.T + I, the
     # minimum equals ||y2_i||^2 + ||y1_j||^2 - (u_i+v_j).T m^{-1} (u_i+v_j).
     m = r_hat @ r_hat.T + np.eye(m1.shape[1])
@@ -140,6 +146,15 @@ def _cost(kind: str, x_hat: np.ndarray, r_hat: np.ndarray,
     quad_u = np.einsum("ij,ij->i", m2, m2) - np.einsum("ij,ij->i", u, mu)
     quad_v = np.einsum("ij,ij->i", m1, m1) - np.einsum("ij,ij->i", m1, mv)
     return quad_u[:, None] + quad_v[None, :] - 2.0 * (u @ mv.T)
+
+
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, by scipy's
+    cdist, which is imported on the first call and bound once."""
+    global _cdist
+    if _cdist is None:
+        from scipy.spatial.distance import cdist as _cdist
+    return _cdist(a, b, "sqeuclidean")
 
 
 def _check_kind(kind: str) -> None:
@@ -250,7 +265,7 @@ def aloa(y1, y2, init=None) -> EstimateResult:
         return residual, _objective(m2, y1p), r_hat
 
     def cost(r_hat: np.ndarray, y1p: np.ndarray) -> np.ndarray:
-        return cdist(m2, y1p @ r_hat, "sqeuclidean")
+        return _sqdist(m2, y1p @ r_hat)
 
     result, residuals = _alternate(m1, pi, fit, cost)
     result.ols_residual_trace = residuals

@@ -1,11 +1,18 @@
-"""Linear assignment: minimum-cost bijection between rows and columns."""
+"""Linear assignment: minimum-cost bijection between rows and columns.
+
+scipy.optimize, which holds the solver, is imported on the first assignment
+and bound once. Brute force, the loss bound and the inequality suites never
+assign, and scipy.optimize (with the scipy.sparse and scipy.spatial it loads)
+is about a third of the package's import time.
+"""
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractViolation
 from .linalg import as_matrix
+
+_linear_sum_assignment = None  # scipy.optimize.linear_sum_assignment, once bound
 
 
 def solve_lap(cost) -> tuple[np.ndarray, float]:
@@ -14,9 +21,12 @@ def solve_lap(cost) -> tuple[np.ndarray, float]:
     Returns (assignment, total). The cost matrix must be square with finite
     entries; the optimum is exact, not approximate.
     """
+    global _linear_sum_assignment
     c = as_matrix(cost, "cost matrix")
     if c.shape[0] != c.shape[1]:
         raise ContractViolation(f"cost matrix must be square, got {c.shape}")
-    rows, cols = linear_sum_assignment(c)
+    if _linear_sum_assignment is None:
+        from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
+    rows, cols = _linear_sum_assignment(c)
     assignment = cols.astype(np.intp, copy=False)
     return assignment, float(c[rows, cols].sum())

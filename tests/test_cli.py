@@ -44,6 +44,20 @@ def records_without_timing(path) -> list[str]:
     return [line.rsplit(",", 1)[0] for line in Path(path).read_text().splitlines()]
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_python(args, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter anew on args, with this checkout's package and one
+    BLAS thread; extra keyword arguments go to subprocess.run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    env.update(kwargs.pop("env", {}))
+    if "stdout" not in kwargs:
+        kwargs["capture_output"] = True
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, text=True,
+                          timeout=120, **kwargs)
+
+
 class TestMatio:
     def test_matrix_round_trip_is_exact(self, tmp_path):
         vals = np.array([[np.pi, 1.0 / 3.0, 1e-300],
@@ -600,10 +614,92 @@ class TestReadme:
     def test_library_example_runs(self, tmp_path):
         """README's Library block is the documented import surface: it runs
         as written, in a fresh interpreter, against this checkout's package."""
-        root = Path(__file__).resolve().parents[1]
-        section = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+        section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
         block = section.split("```python\n", 1)[1].split("```", 1)[0]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-W", "error", "-c", block], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = fresh_python(["-W", "error", "-c", block], tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestColdStart:
+    """scipy.optimize and scipy.spatial load at the first assignment or cost
+    build, not with the package; checked in fresh interpreters, since the
+    test process has loaded both long before."""
+
+    LAZY = ("scipy.optimize", "scipy.spatial")
+    NO_ASSIGNMENT = [
+        ["gen", "--n", "8", "--out", "inst"],
+        ["bound", "--n", "50", "--eta", "1"],
+        ["bruteforce", "--n", "5"],
+        ["lemma", "--kind", "procrustes", "--trials", "3"],
+        ["lemma", "--kind", "tracemax", "--trials", "3"],
+        ["lemma", "--kind", "eigtail", "--trials", "3", "--n", "200"],
+        ["estimate", "--estimator", "brute", "--n", "5"],
+        ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "5", "--trials", "2",
+         "--estimator", "brute", "--out", "brute.csv"],
+    ]
+    ALTA = ["estimate", "--estimator", "alta", "--n", "30", "--init", "random"]
+    PROBE = """
+import sys
+import tlsperm, tlsperm.cli
+LAZY, NO_ASSIGNMENT, ALTA = {args!r}
+loaded = lambda: [m for m in LAZY if m in sys.modules]
+assert loaded() == [], loaded()
+for argv in NO_ASSIGNMENT:
+    assert tlsperm.cli.main(argv) == 0, argv
+    assert loaded() == [], (argv, loaded())
+print("== alta", flush=True)
+assert tlsperm.cli.main(ALTA) == 0
+assert loaded() == list(LAZY), loaded()
+"""
+
+    def test_only_an_assignment_loads_optimize_and_spatial(self, tmp_path, capsys):
+        probe = self.PROBE.format(args=(self.LAZY, self.NO_ASSIGNMENT, self.ALTA))
+        proc = fresh_python(["-c", probe], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert run(*self.ALTA) == 0
+        assert proc.stdout.split("== alta\n", 1)[1] == capsys.readouterr().out
+
+    def test_first_assignment_on_two_threads_matches_serial(self, tmp_path):
+        """The first assignment and cost build of the process race on two
+        pool threads; records and summary match a fresh serial run."""
+        main_only = ("import sys; from tlsperm.cli import main; "
+                     "assert 'scipy.optimize' not in sys.modules; "
+                     "sys.exit(main(sys.argv[1:]))")
+        out = {}
+        for workers in (1, 2):
+            out[workers] = tmp_path / f"w{workers}.csv"
+            argv = [str(a) for a in TestSweep.ARGS] + [
+                "--workers", str(workers), "--out", str(out[workers])]
+            proc = fresh_python(["-c", main_only, *argv], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        assert records_without_timing(out[1]) == records_without_timing(out[2])
+        assert out[1].with_suffix(".summary.csv").read_text() == \
+            out[2].with_suffix(".summary.csv").read_text()
+
+
+class TestClosedStdout:
+    """A reader that has gone (`tlsperm ... | head -0`) ends a command with
+    exit 1 and nothing on stderr, buffered or not; output files are written."""
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ["lemma", "--kind", "procrustes", "--trials", "5"],
+        ["bound", "--n", "50"],
+        ["estimate", "--estimator", "brute", "--n", "5"],
+        ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "6", "--trials", "2",
+         "--out", "s.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_quiet_exit_1(self, tmp_path, argv, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = fresh_python(["-m", "tlsperm.cli", *argv], tmp_path, stdout=write_end,
+                                stderr=subprocess.PIPE,
+                                env={"PYTHONUNBUFFERED": "" if buffered else "1"})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        if argv[0] == "sweep":
+            assert (tmp_path / "s.csv").is_file()
+            assert (tmp_path / "s.summary.csv").is_file()

@@ -7,7 +7,10 @@ pair to pair. Every run is printed; then, for each end-to-end metric declared
 in BENCHMARK.json, both medians and quartiles, the number of pairs the change
 won, and the relative change of the median against the metric's bound
 (``worse`` is the share by which the change is worse in the metric's
-direction). Example, from the root of the change tree:
+direction). Below that table come the same figures, without a bound, for the
+unscaled ``raw`` solves_per_s, solve_ms.p50 and solve_ms.p90 that each run
+prints on its ``# host kernel`` line; scaled and raw can disagree when the
+host-speed kernel drifts. Example, from the root of the change tree:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload brute-n7 --pairs 10 --seed 511
@@ -19,16 +22,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+RAW = ("solves_per_s", "solve_ms.p50", "solve_ms.p90")
+RAW_LINE = re.compile(r"^# host kernel .* raw solves_per_s (\S+) solve_ms\.p50 (\S+) "
+                      r"solve_ms\.p90 (\S+)$", re.MULTILINE)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run from tree; returns its closing JSON line, or a failed result."""
+    """One benchmark run from tree; returns its closing JSON line, or a failed
+    result, with the unscaled figures of its host line under "raw"."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -38,6 +46,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "failed": -1, "metrics": {}}
+    raw = RAW_LINE.search(proc.stdout)
+    result["raw"] = dict(zip(RAW, map(float, raw.groups()))) if raw else {}
     if proc.returncode != 0:
         result["correct"] = False
         sys.stderr.write(proc.stderr)
@@ -51,23 +61,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(name: str, better: str, bound: float,
+def compare(name: str, better: str, bound: float | None,
             parent: list[float], change: list[float]) -> str:
+    """One table line; without a bound it ends at the relative change."""
     pq, cq = quartiles(parent), quartiles(change)
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     rel = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
+    line = (f"{name:19s} parent {pq[1]:.6g} [{pq[0]:.6g}-{pq[2]:.6g}]  "
+            f"change {cq[1]:.6g} [{cq[0]:.6g}-{cq[2]:.6g}]  "
+            f"won {wins}/{len(parent)}  delta {rel:+.2%}")
+    if bound is None:
+        return line
     worse = -sign * rel + 0.0  # no -0.00%
     flag = "  OVER BOUND" if worse > bound else ""
-    return (f"{name:15s} parent {pq[1]:.6g} [{pq[0]:.6g}-{pq[2]:.6g}]  "
-            f"change {cq[1]:.6g} [{cq[0]:.6g}-{cq[2]:.6g}]  "
-            f"won {wins}/{len(parent)}  delta {rel:+.2%}  worse {worse:+.2%} "
-            f"(bound {bound:.1%}){flag}")
+    return f"{line}  worse {worse:+.2%} (bound {bound:.1%}){flag}"
 
 
 def main(argv=None) -> int:
     spec = json.loads(BENCHMARK.read_text())
     names = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
@@ -105,6 +119,13 @@ def main(argv=None) -> int:
                 ok = False
                 continue
             print(compare(name, metric["better"], metric["bound"], *series))
+        for name in RAW:
+            try:
+                series = [[r["raw"][name] for r in runs[side]] for side in ("parent", "change")]
+            except KeyError:
+                print(f"raw {name} missing from some run")
+                continue
+            print(compare(f"raw {name}", better[name], None, *series))
     return 0 if ok else 1
 
 

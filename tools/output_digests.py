@@ -11,7 +11,8 @@ are hashed without their last (wall_ms) column. Compare two trees with
     python3 tools/output_digests.py --src NEW/src > new.txt
     diff old.txt new.txt
 
-Standard library only; takes about 90 s on a 2-vCPU machine.
+Standard library only; takes about 70 s on a 2-vCPU machine (Python 3.11,
+numpy 2.4, scipy 1.17).
 """
 from __future__ import annotations
 
