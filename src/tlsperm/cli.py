@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -258,12 +258,20 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Execute the sweep and return (records, summary rows), both sorted.
 
-    Trials run on cfg.workers threads; map keeps their order, and an
-    interrupt cancels the trials that have not started.
+    Trials run on cfg.workers threads and the main thread wakes once, when
+    all are done or one has raised. A trial's exception, or an interrupt,
+    cancels the trials that have not started; results are read in task order,
+    so the first failing trial in that order raises.
     """
     tasks = [(gi, ti, *point) for gi, point in enumerate(cfg.points) for ti in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        chunks = list(pool.map(lambda t: _run_single_trial(cfg, *t), tasks))
+        futures = [pool.submit(_run_single_trial, cfg, *t) for t in tasks]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            for future in futures:
+                future.cancel()
+        chunks = [future.result() for future in futures]
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda rec: (rec["grid_index"], rec["estimator"], rec["trial"]))
     return records, summarize(records)

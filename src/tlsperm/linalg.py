@@ -12,7 +12,8 @@ underscored kernels (``_svd_factors``, ``_singular_values``, ``_sym_eigvals``,
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
 values alone, ``dgesv`` for square solves, ``dlange`` for the largest
-magnitude behind a one-pass finiteness check. At the sizes used here the
+magnitude. ``tls.tls_objective`` calls ``_gesdd`` and ``_lange`` in its own
+frame, with its own finiteness and info checks. At the sizes used here the
 ``numpy.linalg`` wrappers cost more than the LAPACK work. The drivers return
 Fortran-ordered arrays; every kernel here returns C-ordered ones, as
 ``numpy.linalg`` does, because later reductions and products sum in memory
@@ -20,8 +21,6 @@ order and outputs must not depend on the route. A nonzero LAPACK ``info``
 raises NumericalFailure.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -41,13 +40,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ContractViolation(f"{name} contains NaN or Inf entries")
     return arr
-
-
-def _all_finite(arr: np.ndarray) -> bool:
-    """True when every entry of a float64 matrix is finite, in one pass: its
-    largest magnitude (dlange propagates NaN) cannot overflow or raise numpy
-    warnings, unlike a sum. A C-ordered array is read in place."""
-    return math.isfinite(_lange("M", arr.T))
 
 
 def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,18 +5,20 @@ rank-p matrix to [y2 | y1p] in Frobenius norm. The residual, the sum of the
 p smallest squared singular values of the stack, is the objective every
 estimator in this package minimizes over row alignments.
 
-The public functions validate through ``_checked_stack``, whose common case
-is one finiteness pass over the stack the SVD needs anyway: brute force calls
-``tls_objective`` once per permutation.
+Brute force calls ``tls_objective`` once per permutation, so it checks and
+scores a float64 pair in its own frame: one finiteness pass over the stack
+the SVD needs anyway, then the SVD. Every other input, and ``tls_fit``'s,
+is checked by ``_observation_pair``, the one slow route.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, DegenerateFit
-from .linalg import _all_finite, _singular_values, _solve, _svd_factors, as_matrix
+from .linalg import _gesdd, _lange, _singular_values, _solve, _svd_factors, as_matrix
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -33,39 +35,38 @@ def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
     return m1, m2, n, p
 
 
-def _checked_stack(y2, y1p) -> tuple[np.ndarray, int]:
-    """[y2 | y1p] as one validated n x 2p array, and p.
+def tls_objective(y2, y1p) -> float:
+    """Sum of the p smallest squared singular values of [y2 | y1p].
 
-    Two float64 ndarrays of one 2-D shape with n >= 2p >= 2 are stacked at
-    once and accepted when the stack is finite. Everything else, a non-finite
-    stack included, goes through _observation_pair, so accepted inputs,
-    values and errors do not depend on the route.
+    Two float64 ndarrays (exact type and dtype) of one 2-D shape with
+    n >= 2p >= 2 are stacked once, accepted when the stack is finite and
+    scored when LAPACK succeeds. Everything else, a non-finite stack or a
+    LAPACK failure included, goes through _observation_pair and _objective,
+    so accepted inputs, values and errors do not depend on the route.
     """
     if (type(y2) is np.ndarray and type(y1p) is np.ndarray
-            and y2.dtype == _FLOAT64 and y1p.dtype == _FLOAT64
-            and y2.ndim == 2 and y2.shape == y1p.shape
-            and y2.shape[0] >= 2 * y2.shape[1] >= 2):
-        stack = np.concatenate((y2, y1p), axis=1)
-        if _all_finite(stack):
-            return stack, y2.shape[1]
-    m1, m2, _, p = _observation_pair(y1p, y2)
-    return np.concatenate((m2, m1), axis=1), p
-
-
-def tls_objective(y2, y1p) -> float:
-    """Sum of the p smallest squared singular values of [y2 | y1p]."""
-    return _stack_objective(*_checked_stack(y2, y1p))
+            and y2.dtype is _FLOAT64 and y1p.dtype is _FLOAT64
+            and y2.ndim == 2 and y2.shape == y1p.shape):
+        n, p = y2.shape
+        if n >= 2 * p >= 2:
+            stack = np.concatenate((y2, y1p), axis=1)
+            # dlange's largest magnitude propagates NaN; a C-ordered stack is
+            # read in place as its Fortran-ordered transpose
+            if math.isfinite(_lange("M", stack.T)):
+                # compute_uv=0 by position: f2py's keyword parsing is a
+                # measurable share of a call brute force makes per permutation
+                _, s, _, info = _gesdd(stack, 0)
+                if info == 0:
+                    tail = s[p:]
+                    return float(np.add.reduce(tail * tail))
+    m1, m2, _, _ = _observation_pair(y1p, y2)
+    return _objective(m2, m1)
 
 
 def _objective(m2: np.ndarray, m1p: np.ndarray) -> float:
     """tls_objective() on a validated pair."""
-    return _stack_objective(np.concatenate((m2, m1p), axis=1), m2.shape[1])
-
-
-def _stack_objective(stack: np.ndarray, p: int) -> float:
-    """tls_objective() on a validated stack [y2 | y1p] of 2p columns."""
-    s = _singular_values(stack)
-    return float((s[p:] ** 2).sum())
+    tail = _singular_values(np.concatenate((m2, m1p), axis=1))[m2.shape[1]:]
+    return float(np.add.reduce(tail * tail))
 
 
 @dataclass
@@ -87,16 +88,12 @@ def tls_fit(y2, y1p) -> TlsFit:
     DegenerateFit when x_hat is numerically rank deficient, which callers
     treat as a failed iterate.
     """
-    return _stack_fit(*_checked_stack(y2, y1p))
+    m1, m2, _, _ = _observation_pair(y1p, y2)
+    return _fit(m2, m1)
 
 
 def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
-    """tls_fit() on a validated pair."""
-    return _stack_fit(np.concatenate((m2, m1p), axis=1), m2.shape[1])
-
-
-def _stack_fit(stack: np.ndarray, p: int) -> TlsFit:
-    """tls_fit() on a validated stack [y2 | y1p] of 2p columns, from one SVD.
+    """tls_fit() on a validated pair, from one SVD of [y2 | y1p].
 
     With [y2 | y1p] = U S V.T, A = V[:p, :p] and B = V[p:, :p], the rank-p
     truncation has blocks y2_hat = U_p S_p A.T and x_hat = U_p S_p B.T. As U_p
@@ -112,8 +109,10 @@ def _stack_fit(stack: np.ndarray, p: int) -> TlsFit:
     factorization of D B.T picks the same pivots as that of B.T, carrying row
     k's sign through to row k of the right-hand side, where it cancels.
     """
-    u, s, v = _svd_factors(stack)
-    objective = float((s[p:] ** 2).sum())
+    p = m2.shape[1]
+    u, s, v = _svd_factors(np.concatenate((m2, m1p), axis=1))
+    tail = s[p:]
+    objective = float(np.add.reduce(tail * tail))
     a, b = v[:p, :p], v[p:, :p]
     x_hat = (u[:, :p] * s[:p]) @ b.T
     sv = _singular_values(s[:p, None] * b.T)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -300,6 +301,30 @@ class TestSweep:
         assert records_without_timing(serial) == records_without_timing(par)
         assert serial.with_suffix(".summary.csv").read_text() == \
             par.with_suffix(".summary.csv").read_text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_trial_raises_and_cancels_unstarted(self, workers, monkeypatch):
+        """The first trial raises; run_sweep raises that exception, and the
+        trials that had not started when it failed never run."""
+        started = []
+
+        class TrialFailed(Exception):
+            pass
+
+        def trial(cfg, gi, ti, *point):
+            started.append((gi, ti))
+            if len(started) == 1:
+                raise TrialFailed(f"trial {gi}, {ti}")
+            time.sleep(0.01)
+            return []
+
+        monkeypatch.setattr(cli, "_run_single_trial", trial)
+        cfg = cli.ExperimentConfig(axis="noise", grid=[0.1, 0.2], n=12, p=2, sigma=0.1,
+                                   theta=60.0, trials=20, seed=0, workers=workers)
+        with pytest.raises(TrialFailed, match="^trial 0, 0$"):
+            cli.run_sweep(cfg)
+        assert started[0] == (0, 0)
+        assert len(started) < 40
 
     def test_svg_written_with_one_line_per_estimator(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

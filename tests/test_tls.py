@@ -301,19 +301,30 @@ INVALID = {
     "n < 2p at p = 1": (np.ones((1, 1)), np.ones((1, 1)), "need n >= 2p, got n=1, p=1"),
 }
 
-# inputs accepted off the float64 shortcut, each with its float64 equivalent
+class Sub(np.ndarray):
+    """A plain ndarray subclass: float64 data, but not exactly an ndarray."""
+
+
+# float64 with metadata: equal to float64, but not the same dtype object
+TAGGED = np.dtype(np.float64, metadata={"unit": "m"})
+
+# inputs accepted off tls_objective's one-pass route, each with its float64
+# equivalent
 CONVERTED = {
     "lists": (GOOD.tolist(), (GOOD + 0.5).tolist()),
     "int": (np.arange(12).reshape(6, 2), np.arange(12)[::-1].reshape(6, 2)),
     "float32": (GOOD.astype(np.float32), (GOOD * 0.1).astype(np.float32)),
     "big-endian": (GOOD.astype(">f8"), (GOOD - 3.0).astype(">f8")),
+    "ndarray subclass": (GOOD.view(Sub), (GOOD * 0.3 - 1.0).view(Sub)),
+    "float64 with metadata": (GOOD.astype(TAGGED), (GOOD * 0.7 + 2.0).astype(TAGGED)),
 }
 
 
 class TestInputRoutes:
-    """tls_objective and tls_fit check a float64 pair of one valid shape with
-    one pass over its stack, and everything else on the as_matrix route.
-    Either way the accepted inputs, values and errors are the same."""
+    """tls_objective checks a float64 pair of one valid shape (exact ndarray
+    type, the float64 dtype object itself) with one pass over its stack, and
+    everything else on the as_matrix route, which tls_fit takes for every
+    input. Either way the accepted inputs, values and errors are the same."""
 
     @given(pair=finite_pairs())
     @example(pair=(np.full((4, 1), 1e308), np.full((4, 1), 1e308)))

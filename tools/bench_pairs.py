@@ -7,10 +7,14 @@ pair to pair. Every run is printed; then, for each end-to-end metric declared
 in BENCHMARK.json, both medians and quartiles, the number of pairs the change
 won, and the relative change of the median against the metric's bound
 (``worse`` is the share by which the change is worse in the metric's
-direction). Below that table come the same figures, without a bound, for the
-unscaled ``raw`` solves_per_s, solve_ms.p50 and solve_ms.p90 that each run
-prints on its ``# host kernel`` line; scaled and raw can disagree when the
-host-speed kernel drifts. Example, from the root of the change tree:
+direction). An end-to-end line ends in ``gain`` when the change won at least
+nine tenths of the pairs and its median beats the parent's by more than the
+parent's quartile spread, and in ``unresolved`` when that spread, relative
+to the parent's median, is wider than the metric's bound. Below that table
+come the same figures, without a bound, for the unscaled ``raw``
+solves_per_s, solve_ms.p50 and solve_ms.p90 that each run prints on its
+``# host kernel`` line; scaled and raw can disagree when the host-speed
+kernel drifts. Example, from the root of the change tree:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload brute-n7 --pairs 10 --seed 511
@@ -74,8 +78,13 @@ def compare(name: str, better: str, bound: float | None,
     if bound is None:
         return line
     worse = -sign * rel + 0.0  # no -0.00%
-    flag = "  OVER BOUND" if worse > bound else ""
-    return f"{line}  worse {worse:+.2%} (bound {bound:.1%}){flag}"
+    spread = pq[2] - pq[0]
+    flags = [flag for flag, hit in (
+        ("OVER BOUND", worse > bound),
+        ("gain", wins >= 0.9 * len(parent) and sign * (cq[1] - pq[1]) > spread),
+        ("unresolved", spread > bound * abs(pq[1])),
+    ) if hit]
+    return f"{line}  worse {worse:+.2%} (bound {bound:.1%})" + "".join(f"  {f}" for f in flags)
 
 
 def main(argv=None) -> int:

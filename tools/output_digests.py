@@ -127,6 +127,11 @@ COMMANDS.update({
     "bruteforce-noiseless": [["bruteforce", "--n", "6", "--sigma", "0"]],
     "bruteforce-partial": [["bruteforce", "--n", "6", "--sigma", "0.1", "--perm", "partial=3",
                             "--seed", "4"]],
+    # p = 3 and p = 1: three-term and one-term residual sums, and mixing at p != 2
+    "bruteforce-p3": [["bruteforce", "--n", "6", "--p", "3", "--sigma", "0.1", "--perm", "random",
+                       "--seed", "4"]],
+    "bruteforce-p1": [["bruteforce", "--n", "5", "--p", "1", "--sigma", "0.1", "--perm", "random",
+                       "--seed", "4"]],
     "bound": [["bound", "--out", "bound.csv"]],
     "bound-sigma0": [["bound", "--sigma", "0", "--n", "50", "--eta", "1"]],
     "bound-p3-cov": [["bound", "--p", "3", "--sigma", "cov.csv"]],
