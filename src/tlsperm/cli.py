@@ -385,26 +385,7 @@ def write_sweep_svg(path, rows: list[dict], title: str) -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-# -- bound and inequality suites ---------------------------------------------
-
-def run_bound(n: int, p: int, sigma, theta: float, etas: list[float],
-              c: float, seed: int) -> list[dict]:
-    """Assemble the loss bound for each confidence exponent eta."""
-    x = generate_design(n, p, stream(seed))
-    r = _mixing(p, theta, stream(seed, 1))
-    cov = as_covariance(sigma, p)
-    rows = []
-    for eta in etas:
-        bv = recovery_bound(x, r, cov, eta, c)
-        rows.append({
-            "n": n, "p": p, "eta": eta, "c": c,
-            "snr": bv.snr, "a_n": bv.a_n, "bound": bv.bound,
-            "prob_statement": bv.probability_statement,
-            "prob_derivation": bv.probability_derivation,
-            "noiseless": bv.noiseless,
-        })
-    return rows
-
+# -- inequality suites -------------------------------------------------------
 
 def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
                     p: int = 2, eps: float = 0.5) -> tuple[list[dict], int]:
@@ -686,8 +667,20 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bound(args) -> int:
     etas = _grid_values(args.eta)
-    rows = run_bound(args.n, args.p, _sigma_value(args.sigma), args.theta,
-                     etas, args.c, args.seed)
+    sigma = _sigma_value(args.sigma)
+    x = generate_design(args.n, args.p, stream(args.seed))
+    r = _mixing(args.p, args.theta, stream(args.seed, 1))
+    cov = as_covariance(sigma, args.p)
+    rows = []
+    for eta in etas:
+        bv = recovery_bound(x, r, cov, eta, args.c)
+        rows.append({
+            "n": args.n, "p": args.p, "eta": eta, "c": args.c,
+            "snr": bv.snr, "a_n": bv.a_n, "bound": bv.bound,
+            "prob_statement": bv.probability_statement,
+            "prob_derivation": bv.probability_derivation,
+            "noiseless": bv.noiseless,
+        })
     for row in rows:
         ps = min(1.0, max(0.0, row["prob_statement"]))
         pd = min(1.0, max(0.0, row["prob_derivation"]))

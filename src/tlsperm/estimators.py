@@ -17,11 +17,11 @@ that squares overflow) raises NumericalFailure; numpy's overflow warnings are
 silenced on the way, since the failure itself reports them.
 
 Inputs are validated once, by the public functions. The engine and the
-private kernels (``_cost``, ``tls._fit``, ``tls._objective``) take arrays that
-are already validated. Inside the loops, ``solve_lap`` scans each cost
-matrix once (the engine looks again only to turn a rejected overflow into
-NumericalFailure), and brute force's ``tls_objective`` call checks each
-permutation in one pass over the stack it factors.
+private kernels (``_cost``, ``tls._fit``) take arrays that are already
+validated; ``tls_objective`` checks a float64 pair in one pass over the stack
+it factors. ``solve_lap``'s scan is the only scan of a cost: every engine cost
+is a square float64 matrix, so a rejection there means a non-finite entry,
+an overflow, which the engine raises as NumericalFailure.
 
 Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
 and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so
@@ -42,9 +42,9 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateFit, NumericalFailure, RankDeficient
 from .lap import solve_lap
-from .linalg import _singular_values, _solve, as_matrix
+from .linalg import _rank_deficient, _singular_values, _solve, as_matrix
 from .model import as_permutation, identity_permutation
-from .tls import TlsFit, _fit, _objective, _observation_pair, tls_objective
+from .tls import TlsFit, _fit, _observation_pair, tls_objective
 
 COST_KINDS = ("c1", "c2", "c3", "c4")
 
@@ -205,8 +205,6 @@ def _alternate(m1, pi, fit, cost) -> tuple[EstimateResult, list[float]]:
             try:
                 assignment, _ = solve_lap(c)
             except ContractViolation:
-                if np.isfinite(c).all():
-                    raise
                 raise NumericalFailure(
                     "cost matrix is not finite; the inputs may overflow") from None
             pi_next = pi[assignment]
@@ -236,7 +234,7 @@ def alta(y1, y2, kind: str = "c3", init=None) -> EstimateResult:
         try:
             f = _fit(m2, y1p)
         except DegenerateFit:
-            objective = _objective(m2, y1p)
+            objective = tls_objective(m2, y1p)
             return objective, objective, None
         return f.objective, f.objective, f
 
@@ -255,14 +253,13 @@ def aloa(y1, y2, init=None) -> EstimateResult:
     for comparison with the other estimators.
     """
     m1, m2, pi = _start(y1, y2, init)
-    sv = _singular_values(m1)
-    if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
+    if _rank_deficient(_singular_values(m1)):
         raise RankDeficient("y1 must have full column rank for the least-squares route")
 
     def fit(y1p):
         r_hat, *_ = np.linalg.lstsq(y1p, m2, rcond=None)
         residual = float(np.linalg.norm(y1p @ r_hat - m2) ** 2)
-        return residual, _objective(m2, y1p), r_hat
+        return residual, tls_objective(m2, y1p), r_hat
 
     def cost(r_hat: np.ndarray, y1p: np.ndarray) -> np.ndarray:
         return _sqdist(m2, y1p @ r_hat)

@@ -7,7 +7,7 @@ joint sign flip cancels bit for bit; ``model.generate_design`` keeps u alone
 and fixes its signs itself. The only public function is ``as_matrix``, the
 check that the package's public functions run on their matrix inputs; the
 underscored kernels (``_svd_factors``, ``_singular_values``, ``_sym_eigvals``,
-``_solve``, ``_orthogonal_procrustes``) take matrices that are already checked.
+``_solve``, ``_orthogonal_procrustes``, ``_rank_deficient``) take checked input.
 
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
@@ -56,6 +56,11 @@ def _singular_values(arr: np.ndarray) -> np.ndarray:
     _, s, _, info = _gesdd(arr, compute_uv=0)
     _check_info("dgesdd", info)
     return s
+
+
+def _rank_deficient(s: np.ndarray) -> bool:
+    """The one numerical-rank rule, on singular values s sorted descending."""
+    return s[0] <= 0.0 or s[-1] <= 1e-10 * s[0]
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

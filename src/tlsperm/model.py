@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, RankDeficient
-from .linalg import _svd_factors, _sym_eigvals, as_matrix
+from .linalg import _rank_deficient, _svd_factors, _sym_eigvals, as_matrix
 
 Rng = np.random.Generator
 
@@ -132,7 +132,7 @@ def generate_design(n: int, p: int, rng: Rng) -> np.ndarray:
     for _ in range(2):
         draw = rng.standard_normal((n, p))
         u, s, _ = _svd_factors(draw)
-        if s[-1] > 1e-10 * s[0]:
+        if not _rank_deficient(s):
             u = u * np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(p)])
             return math.sqrt(n * p) * u / float(np.linalg.norm(u))
     raise RankDeficient("gaussian draw was rank deficient twice in a row")

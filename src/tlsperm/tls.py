@@ -5,10 +5,10 @@ rank-p matrix to [y2 | y1p] in Frobenius norm. The residual, the sum of the
 p smallest squared singular values of the stack, is the objective every
 estimator in this package minimizes over row alignments.
 
-Brute force calls ``tls_objective`` once per permutation, so it checks and
-scores a float64 pair in its own frame: one finiteness pass over the stack
-the SVD needs anyway, then the SVD. Every other input, and ``tls_fit``'s,
-is checked by ``_observation_pair``, the one slow route.
+``tls_objective`` scores it for brute force, aloa, alta's degenerate fits, cli
+and evaluation; alta's fitted iterates take theirs from ``_fit``'s SVD. It
+checks a float64 pair with one finiteness pass over the stack, then the SVD;
+every other input, and ``tls_fit``'s, is checked by ``_observation_pair``.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateFit
-from .linalg import _gesdd, _lange, _singular_values, _solve, _svd_factors, as_matrix
+from .linalg import (_gesdd, _lange, _rank_deficient, _singular_values, _solve, _svd_factors,
+                     as_matrix)
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -40,9 +41,9 @@ def tls_objective(y2, y1p) -> float:
 
     Two float64 ndarrays (exact type and dtype) of one 2-D shape with
     n >= 2p >= 2 are stacked once, accepted when the stack is finite and
-    scored when LAPACK succeeds. Everything else, a non-finite stack or a
-    LAPACK failure included, goes through _observation_pair and _objective,
-    so accepted inputs, values and errors do not depend on the route.
+    scored when LAPACK succeeds; anything else, a LAPACK failure included, is
+    checked by _observation_pair and scored by the same SVD, with the same
+    values and errors. Callers: brute_force_tls, aloa, alta, cli, evaluation.
     """
     if (type(y2) is np.ndarray and type(y1p) is np.ndarray
             and y2.dtype is _FLOAT64 and y1p.dtype is _FLOAT64
@@ -59,13 +60,8 @@ def tls_objective(y2, y1p) -> float:
                 if info == 0:
                     tail = s[p:]
                     return float(np.add.reduce(tail * tail))
-    m1, m2, _, _ = _observation_pair(y1p, y2)
-    return _objective(m2, m1)
-
-
-def _objective(m2: np.ndarray, m1p: np.ndarray) -> float:
-    """tls_objective() on a validated pair."""
-    tail = _singular_values(np.concatenate((m2, m1p), axis=1))[m2.shape[1]:]
+    m1, m2, _, p = _observation_pair(y1p, y2)
+    tail = _singular_values(np.concatenate((m2, m1), axis=1))[p:]
     return float(np.add.reduce(tail * tail))
 
 
@@ -115,8 +111,7 @@ def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
     objective = float(np.add.reduce(tail * tail))
     a, b = v[:p, :p], v[p:, :p]
     x_hat = (u[:, :p] * s[:p]) @ b.T
-    sv = _singular_values(s[:p, None] * b.T)
-    if sv[0] <= 0.0 or sv[-1] <= 1e-10 * sv[0]:
+    if _rank_deficient(_singular_values(s[:p, None] * b.T)):
         raise DegenerateFit("denoised design is numerically rank deficient")
     r_hat = _solve(b.T, a.T)
     return TlsFit(x_hat=x_hat, r_hat=r_hat, objective=objective)

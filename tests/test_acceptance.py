@@ -37,6 +37,8 @@ from tlsperm.model import (
 )
 from tlsperm.tls import TlsFit, tls_objective
 
+from oracles import grid_procrustes_loss
+
 
 def test_criterion_1_block_design_exact_values():
     t0 = time.perf_counter()
@@ -192,18 +194,6 @@ def test_criterion_7_bound_assembly_and_exceedance():
     print(f"[PASS] criterion 7: bound matches independent assembly to 1e-12 "
           f"relative ({got:.6g}); exceedance frequency within the "
           f"statistical threshold at n=4..7")
-
-
-def grid_procrustes_loss(a: np.ndarray, b: np.ndarray) -> float:
-    """min over O(2) of ||a - b q||_F^2 by dense angle search, rotations and
-    reflections both."""
-    m = b.T @ a
-    ang = np.arange(0.0, 2.0 * math.pi, 1e-3)
-    cos, sin = np.cos(ang), np.sin(ang)
-    rot = cos * (m[0, 0] + m[1, 1]) + sin * (m[1, 0] - m[0, 1])
-    ref = cos * (m[0, 0] - m[1, 1]) + sin * (m[1, 0] + m[0, 1])
-    best = max(float(rot.max()), float(ref.max()))
-    return float(np.sum(a * a) + np.sum(b * b) - 2.0 * best)
 
 
 def test_criterion_8_oracle_suites():

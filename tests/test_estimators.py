@@ -41,14 +41,7 @@ from tlsperm.model import (
 )
 from tlsperm.tls import TlsFit, tls_fit, tls_objective
 
-
-def block_design(half: int):
-    """Points stacked on (1, 0) and (0, 1), identity mixing. Any alignment
-    that keeps the two groups intact is exact."""
-    x = np.vstack((np.tile([1.0, 0.0], (half, 1)),
-                   np.tile([0.0, 1.0], (half, 1))))
-    swap = np.concatenate((np.arange(half, 2 * half), np.arange(half)))
-    return x, swap
+from oracles import block_design
 
 
 def noiseless_instance(n: int, seed: int, permuted: bool = True):

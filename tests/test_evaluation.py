@@ -30,12 +30,7 @@ from tlsperm.model import (
     stream,
 )
 
-
-def block_design(half: int):
-    x = np.vstack((np.tile([1.0, 0.0], (half, 1)),
-                   np.tile([0.0, 1.0], (half, 1))))
-    swap = np.concatenate((np.arange(half, 2 * half), np.arange(half)))
-    return x, swap
+from oracles import block_design
 
 
 class TestMetrics:

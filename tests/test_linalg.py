@@ -18,6 +18,7 @@ from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.evaluation import trace_max_check
 from tlsperm.linalg import (
     _orthogonal_procrustes,
+    _rank_deficient,
     _singular_values,
     _solve,
     _svd_factors,
@@ -26,18 +27,7 @@ from tlsperm.linalg import (
 )
 from tlsperm.model import generate_design, random_orthogonal, random_permutation, stream
 
-
-def grid_procrustes_loss(a: np.ndarray, b: np.ndarray, step: float = 1e-3) -> float:
-    """Oracle: minimize ||a - b q||_F^2 by brute force over a dense angle grid
-    covering both components (rotations and reflections) of the 2-D orthogonal
-    group. Exact objective values at each grid point, no factorization."""
-    m = b.T @ a
-    base = float(np.sum(a * a) + np.sum(b * b))
-    thetas = np.arange(0.0, 2.0 * np.pi, step)
-    c, s = np.cos(thetas), np.sin(thetas)
-    rot_trace = c * (m[0, 0] + m[1, 1]) + s * (m[1, 0] - m[0, 1])
-    ref_trace = c * (m[0, 0] - m[1, 1]) + s * (m[0, 1] + m[1, 0])
-    return base - 2.0 * max(float(rot_trace.max()), float(ref_trace.max()))
+from oracles import grid_procrustes_loss
 
 
 class TestAsMatrix:
@@ -245,6 +235,22 @@ class TestLapackDrivers:
                      lambda: _solve(a.T @ a, a.T)):
             with pytest.raises(NumericalFailure, match="info=1"):
                 call()
+
+
+class TestRankDeficient:
+    """The one numerical-rank rule: the smallest singular value at most 1e-10
+    of the largest, or all zero. Each case also equals the expressions it
+    replaced, in tls._fit and aloa, and negated in generate_design."""
+
+    @pytest.mark.parametrize("s, deficient", [
+        (np.array([1.0, 1e-10]), True),
+        (np.array([1.0, np.nextafter(1e-10, 1.0)]), False),
+        (np.array([0.0, 0.0]), True),
+    ])
+    def test_threshold(self, s, deficient):
+        assert _rank_deficient(s) == deficient
+        assert _rank_deficient(s) == (s[0] <= 0.0 or s[-1] <= 1e-10 * s[0])
+        assert (not _rank_deficient(s)) == (s[-1] > 1e-10 * s[0])
 
 
 class TestSymEigvals:

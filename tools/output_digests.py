@@ -200,6 +200,15 @@ for _scale, _files in HUGE.items():
         COMMANDS[f"huge-{_scale}-{_est}"] = [[
             "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est]]
         INPUTS[f"huge-{_scale}-{_est}"] = _files
+# a rank-1 y1 (its second column twice its first): alta's first fit is
+# degenerate, so its objective comes from the fallback scorer, and aloa
+# refuses the design as rank deficient
+RANK1 = {"y1.csv": matrix_file([(1, 2), (2, 4), (-1, -2), (3, 6), (0, 0), (-2, -4), (1, 2)], 0),
+         "y2.csv": matrix_file([(3, 1), (-2, 4), (5, -1), (1, 2), (-4, -3), (2, 5), (0, -2)], 0)}
+for _est in ("alta", "aloa"):
+    COMMANDS[f"rank1-y1-{_est}"] = [[
+        "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est]]
+    INPUTS[f"rank1-y1-{_est}"] = RANK1
 for _i, _argv in enumerate(USAGE_ERRORS):
     _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
     COMMANDS[f"usage-{_i:02d}-{_argv[0]}"] = [_argv + _out]
