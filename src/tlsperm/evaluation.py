@@ -2,7 +2,9 @@
 
 The bound and the two inequality checks mirror the analysis the estimators
 rest on; the checks return (lhs, rhs) pairs so harness code and tests can
-assert the inequality and inspect the gap.
+assert the inequality and inspect the gap. Both bounds read the noise
+covariance only through its eigenvalues, taken once by ``model._covariance``;
+a trace or bound that overflows raises NumericalFailure.
 """
 from __future__ import annotations
 
@@ -11,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericalFailure
 from .linalg import _orthogonal_procrustes, _singular_values, _svd_factors, as_matrix
-from .model import (
-    Rng,
-    _check_covariance,
-    _covariance_eigvals,
-    _snr,
-    as_permutation,
-    random_orthogonal,
-    stream,
-)
+from .model import Rng, _covariance, _snr, as_permutation, random_orthogonal, stream
 from .tls import tls_objective
 
 
@@ -111,9 +105,10 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
     norm_x = float(np.linalg.norm(mat))
     if norm_x <= 0.0:
         raise ContractViolation("design must be nonzero")
-    cov, vals = _covariance_eigvals(sigma, p)
+    cov, vals = _covariance(sigma, p)
     lam1 = float(vals[0])
-    trace = float(vals.sum())
+    with np.errstate(over="ignore"):  # an overflowing trace is inf, checked below
+        trace = float(vals.sum())
     prob_statement = 1.0 - n ** (-eta * eta)
     prob_derivation = 1.0 - 2.0 * p * n ** (-eta * eta)
     if lam1 <= 0.0:
@@ -132,6 +127,8 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
     bound = (2.0 * p / (s_bot ** 2 * norm_x ** 2)) * (1.0 + eta * a_n) * lam1 * (
         16.0 * s_top * norm_x * math.sqrt(2.0 * n) + 2.0 * n
     )
+    if not (math.isfinite(trace) and math.isfinite(a_n) and math.isfinite(bound)):
+        raise NumericalFailure("loss bound is not finite; the inputs may overflow")
     return BoundValue(
         bound=bound, a_n=a_n, snr=_snr(mat, cov),
         probability_statement=prob_statement,
@@ -147,7 +144,7 @@ def eig_tail_rhs(sigma, n: int, eps: float, c: float = 1.0 / 32.0) -> float:
     """
     cov = as_matrix(sigma, "covariance")
     p = cov.shape[0]
-    _, vals = _check_covariance(cov, p)
+    _, vals = _covariance(cov, p)
     if n < 1:
         raise ContractViolation("n must be >= 1")
     if not 0.0 < eps <= 4.0 * n:
@@ -157,7 +154,10 @@ def eig_tail_rhs(sigma, n: int, eps: float, c: float = 1.0 / 32.0) -> float:
     lam1 = float(vals[0])
     if lam1 <= 0.0:
         raise ContractViolation("covariance must have a positive top eigenvalue")
-    trace = float(vals.sum())
+    with np.errstate(over="ignore"):
+        trace = float(vals.sum())
+    if not math.isfinite(trace):
+        raise NumericalFailure("covariance trace is not finite")
     raw = 2.0 * p * math.exp(-c * n * eps * eps * lam1 / trace)
     return min(1.0, raw)
 

@@ -1,23 +1,25 @@
 """Dense linear-algebra primitives with pinned conventions.
 
 Everything downstream assumes the conventions fixed here: thin factorizations,
-singular values and eigenvalues sorted descending, and singular vectors with
-the signs LAPACK chose. Callers that use both factors pair u_k with v_k, so a
-joint sign flip cancels bit for bit; ``model.generate_design`` keeps u alone
-and fixes its signs itself. The only public function is ``as_matrix``, the
-check that the package's public functions run on their matrix inputs; the
-underscored kernels (``_svd_factors``, ``_singular_values``, ``_sym_eigvals``,
-``_solve``, ``_orthogonal_procrustes``, ``_rank_deficient``) take checked input.
+singular values sorted descending, and singular vectors with the signs LAPACK
+chose. Callers that use both factors pair u_k with v_k, so a joint sign flip
+cancels bit for bit; ``model.generate_design`` keeps u alone and fixes its
+signs itself. The only public function is ``as_matrix``, the check that the
+package's public functions run on their matrix inputs; the underscored kernels
+(``_svd_factors``, ``_singular_values``, ``_solve``, ``_orthogonal_procrustes``,
+``_rank_deficient``) take checked input.
 
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
 values alone, ``dgesv`` for square solves, ``dlange`` for the largest
-magnitude. ``tls.tls_objective`` calls ``_gesdd`` and ``_lange`` in its own
-frame, with its own finiteness and info checks. At the sizes used here the
-``numpy.linalg`` wrappers cost more than the LAPACK work. The drivers return
-Fortran-ordered arrays; every kernel here returns C-ordered ones, as
-``numpy.linalg`` does, because later reductions and products sum in memory
-order and outputs must not depend on the route. A nonzero LAPACK ``info``
+magnitude and the Frobenius norm. ``tls.tls_objective`` calls ``_gesdd`` and
+``_lange`` in its own frame, with its own finiteness and info checks.
+``model._covariance`` takes Frobenius norms from ``_lange``, which scales its
+sum of squares and so overflows only when the norm itself does. At the sizes
+used here the ``numpy.linalg`` wrappers cost more than the LAPACK work. The
+drivers return Fortran-ordered arrays; every kernel here returns C-ordered
+ones, as ``numpy.linalg`` does, because later reductions and products sum in
+memory order and outputs must not depend on the route. A nonzero LAPACK ``info``
 raises NumericalFailure.
 """
 from __future__ import annotations
@@ -75,12 +77,6 @@ def _check_info(driver: str, info: int) -> None:
     failed convergence or an exactly singular factor, negative a bad argument."""
     if info != 0:
         raise NumericalFailure(f"{driver} failed with info={info}")
-
-
-def _sym_eigvals(arr: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a validated square matrix after symmetrising it,
-    descending."""
-    return np.linalg.eigvalsh((arr + arr.T) / 2.0)[::-1]
 
 
 def _orthogonal_procrustes(am: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float]:

@@ -6,7 +6,8 @@ matrix form ``B = P @ A`` where ``P[i, pi[i]] = 1``.
 
 Random streams are counter-based (Philox) and keyed by an integer path, so
 harness trials can be generated independently and in any order while staying
-reproducible: ``stream(seed, grid_index, trial_index)``.
+reproducible: ``stream(seed, grid_index, trial_index)``. ``_covariance`` is
+the one check of a noise covariance and the one source of its eigenvalues.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, RankDeficient
-from .linalg import _rank_deficient, _svd_factors, _sym_eigvals, as_matrix
+from .linalg import _lange, _rank_deficient, _svd_factors, as_matrix
 
 Rng = np.random.Generator
 
@@ -86,34 +87,33 @@ class Observations:
 
 def as_covariance(sigma, p: int) -> np.ndarray:
     """Scalar sigma means sigma^2 * I_p; a matrix is validated as symmetric PSD."""
+    return _covariance(sigma, p)[0]
+
+
+def _covariance(sigma, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one covariance check: as_covariance(sigma, p) and its eigenvalues,
+    descending. A scalar's are sigma^2, p times, with no eigendecomposition. A
+    matrix's come from one eigvalsh of its symmetric part; that part and the
+    symmetry test are formed from halves, so no finite entry overflows them."""
     if p < 1:
         raise ContractViolation("p must be >= 1")
     if np.isscalar(sigma):
         s = float(sigma)
         if s < 0:
             raise ContractViolation("scalar noise level must be nonnegative")
-        if not math.isfinite(s * s):
+        v = s * s
+        if not math.isfinite(v):
             raise ContractViolation("covariance contains NaN or Inf entries")
-        return (s * s) * np.eye(p)
-    return _check_covariance(as_matrix(sigma, "covariance"), p)[0]
-
-
-def _covariance_eigvals(sigma, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """as_covariance(sigma, p), p >= 1, and its eigenvalues from one eigvalsh."""
-    if np.isscalar(sigma):
-        cov = as_covariance(sigma, p)
-        return cov, _sym_eigvals(cov)
-    return _check_covariance(as_matrix(sigma, "covariance"), p)
-
-
-def _check_covariance(cov: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check a validated matrix for shape p x p, symmetry and PSD; return it
-    and its eigenvalues, descending."""
+        cov = v * np.eye(p)
+        return cov, cov.diagonal()  # read-only view: v, p times
+    cov = as_matrix(sigma, "covariance")
     if cov.shape != (p, p):
         raise ContractViolation(f"covariance must be {p}x{p}, got {cov.shape}")
-    if np.linalg.norm(cov - cov.T) > 1e-12 * (1.0 + np.linalg.norm(cov)):
+    half, half_t = cov * 0.5, cov.T * 0.5
+    # dlange scales its sum of squares: no overflow unless the norm overflows
+    if _lange("F", half - half_t) > 1e-12 * (0.5 + _lange("F", half)):
         raise ContractViolation("covariance must be symmetric")
-    vals = _sym_eigvals(cov)
+    vals = np.linalg.eigvalsh(half + half_t)[::-1]
     if vals[-1] < -1e-12 * max(1.0, float(vals[0])):
         raise ContractViolation("covariance must be positive semidefinite")
     return cov, vals
@@ -160,7 +160,7 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         # PSD-singular: clip the eigenvalues' rounding dust at zero.
-        vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+        vals, vecs = np.linalg.eigh(cov * 0.5 + cov.T * 0.5)
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 

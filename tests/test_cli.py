@@ -3,6 +3,7 @@ their exit-code contract, and sweeps rerun byte-identically once the timing
 column is stripped."""
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -79,6 +80,7 @@ class TestMatio:
         cases = {
             "empty.csv": "",
             "head.csv": "3\n1,2\n",
+            "header.csv": "a,b\n1,2\n",
             "rows.csv": "2,2\n1,2\n",
             "cols.csv": "1,3\n1,2\n",
             "tok.csv": "1,2\n1,zap\n",
@@ -325,6 +327,31 @@ class TestSweep:
             cli.run_sweep(cfg)
         assert started[0] == (0, 0)
         assert len(started) < 40
+
+    def test_numerical_failures_become_records(self, tmp_path, capsys):
+        """sigma = 1e154 is a valid noise level whose observations overflow
+        every residual: alta and aloa fail, and each failure is a record
+        scored at the initial permutation; brute force still finishes."""
+        out = tmp_path / "huge.csv"
+        assert run("sweep", "--sweep", "noise", "--grid", "1e154", "--n", 8, "--trials", 2,
+                   "--estimator", "alta,aloa,brute", "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        header = lines[1].split(",")
+        records = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        assert [r["estimator"] for r in records] == ["aloa"] * 2 + ["alta_c3"] * 2 + ["brute"] * 2
+        for r in records:
+            if r["estimator"] == "brute":
+                assert r["failed"] == ""
+                assert math.isfinite(float(r["objective"]))
+            else:
+                assert r["failed"] == "numericalfailure"
+                assert (r["iterations"], r["converged"], r["objective"]) == ("0", "0", "inf")
+        summary = out.with_suffix(".summary.csv").read_text().splitlines()
+        columns = summary[1].split(",")
+        failures = {row["estimator"]: row["failures"]
+                    for row in (dict(zip(columns, line.split(","))) for line in summary[2:])}
+        assert failures == {"aloa": "2", "alta_c3": "2", "brute": "0"}
 
     def test_svg_written_with_one_line_per_estimator(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -203,6 +203,14 @@ class TestBuildCost:
         with pytest.raises(ContractViolation):
             build_cost("c5", fit, y1, y2)
 
+    def test_rejects_fit_of_another_shape(self):
+        _, _, y1, y2 = noisy_instance(6, sigma=0.1, seed=78)
+        fit = tls_fit(y2, y1)
+        short = TlsFit(x_hat=fit.x_hat[:5], r_hat=fit.r_hat, objective=fit.objective)
+        with pytest.raises(ContractViolation,
+                           match="^fit shapes are inconsistent with the observations$"):
+            build_cost("c1", short, y1, y2)
+
 
 class TestAssignmentComposition:
     """One fit/assign step on a noiseless instance with a nontrivial true

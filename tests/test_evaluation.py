@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsperm.errors import ContractViolation
+from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.evaluation import (
     eig_tail_rhs,
     hamming_distance,
@@ -186,6 +186,14 @@ class TestRecoveryBound:
         with pytest.raises(ContractViolation):
             recovery_bound(x, np.zeros((2, 2)), 0.1, eta=1.0)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_overflowing_bound_is_a_numerical_failure(self, p):
+        """sigma^2 = 1e308 is a finite covariance, but at p >= 2 its trace
+        overflows, and at p = 1 the bound does; neither is returned."""
+        x = generate_design(50, p, stream(51))
+        with pytest.raises(NumericalFailure, match="^loss bound is not finite"):
+            recovery_bound(x, np.eye(p), 1e154, eta=1.0)
+
 
 class TestEigTailRhs:
     def test_matches_direct_formula_when_below_one(self):
@@ -218,6 +226,10 @@ class TestEigTailRhs:
         for c in (0.0, math.nan, math.inf):
             with pytest.raises(ContractViolation):
                 eig_tail_rhs(cov, n=10, eps=0.5, c=c)
+
+    def test_overflowing_trace_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="^covariance trace is not finite"):
+            eig_tail_rhs(1e308 * np.eye(2), n=10, eps=0.5)
 
 
 class TestProcrustesResidualGap:

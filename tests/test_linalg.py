@@ -22,10 +22,15 @@ from tlsperm.linalg import (
     _singular_values,
     _solve,
     _svd_factors,
-    _sym_eigvals,
     as_matrix,
 )
-from tlsperm.model import generate_design, random_orthogonal, random_permutation, stream
+from tlsperm.model import (
+    _covariance,
+    generate_design,
+    random_orthogonal,
+    random_permutation,
+    stream,
+)
 
 from oracles import grid_procrustes_loss
 
@@ -254,16 +259,17 @@ class TestRankDeficient:
 
 
 class TestSymEigvals:
-    """_sym_eigvals takes a checked square matrix: as_covariance rejects the
-    non-square and asymmetric ones before it runs."""
+    """The symmetric eigenvalues, descending, as model._covariance takes them
+    from a checked covariance."""
 
     def test_diagonal_known(self):
-        assert _sym_eigvals(np.diag([1.0, 5.0, 3.0])) == pytest.approx([5.0, 3.0, 1.0])
+        vals = _covariance(np.diag([1.0, 5.0, 3.0]), 3)[1]
+        assert vals == pytest.approx([5.0, 3.0, 1.0])
 
     def test_matches_squared_singular_values(self):
         a = stream(15).standard_normal((9, 4))
         gram = a.T @ a
-        assert _sym_eigvals(gram) == pytest.approx(_singular_values(a) ** 2, rel=1e-10)
+        assert _covariance(gram, 4)[1] == pytest.approx(_singular_values(a) ** 2, rel=1e-10)
 
 
 class TestOrthogonalProcrustes:

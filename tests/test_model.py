@@ -14,6 +14,7 @@ from tlsperm.errors import ContractViolation
 from tlsperm.model import (
     Observations,
     ProblemInstance,
+    _covariance,
     as_covariance,
     as_permutation,
     generate_design,
@@ -166,6 +167,28 @@ class TestCovarianceAndNoise:
         with pytest.raises(ContractViolation) as exc:
             as_covariance(sigma, 2)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_huge_finite_scalar_resolves_without_warning(self, p):
+        """sigma = 1e154 squares to a finite 1e308; its eigenvalues are that
+        value p times, with no warning (warnings are errors in this suite)."""
+        v = 1e154 * 1e154
+        cov, vals = _covariance(1e154, p)
+        assert np.array_equal(cov, v * np.eye(p))
+        assert np.array_equal(vals, np.full(p, v))
+        assert np.array_equal(as_covariance(1e154, p), cov)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_asymmetry_is_rejected_at_any_scale(self, scale):
+        with pytest.raises(ContractViolation, match="^covariance must be symmetric$"):
+            as_covariance(np.array([[1.0, 0.0], [0.1, 1.0]]) * scale, 2)
+
+    def test_scalar_eigenvalues_equal_eigvalsh_bitwise(self):
+        for sigma in np.logspace(-70, 70, 141):
+            s = float(sigma)
+            for p in range(1, 5):
+                want = np.linalg.eigvalsh(s * s * np.eye(p))[::-1]
+                assert np.array_equal(_covariance(s, p)[1], want), (s, p)
 
     @staticmethod
     def noise(n, cov, rng):

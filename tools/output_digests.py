@@ -47,6 +47,10 @@ SWEEPS = {
            "--trials", "5", "--seed", "11", "--estimator", "alta:c2,aloa", "--init", "random"],
     "init-identity": ["--sweep", "noise", "--grid", "0.1,0.3", "--n", "12", "--trials", "4",
                       "--seed", "21", "--estimator", "alta,aloa", "--init", "identity"],
+    # a finite noise level whose observations overflow: alta and aloa failures
+    # become records, brute force finishes
+    "noise-1e154": ["--sweep", "noise", "--grid", "1e154", "--n", "8", "--trials", "2",
+                    "--estimator", "alta,aloa,brute"],
 }
 GEN_A = ["gen", "--n", "10", "--sigma", "0.1", "--perm", "random", "--seed", "7", "--out", "A"]
 GEN_B = ["gen", "--n", "8", "--sigma", "0.1", "--perm", "random", "--seed", "8", "--out", "B"]
@@ -135,6 +139,13 @@ COMMANDS.update({
     "bound": [["bound", "--out", "bound.csv"]],
     "bound-sigma0": [["bound", "--sigma", "0", "--n", "50", "--eta", "1"]],
     "bound-p3-cov": [["bound", "--p", "3", "--sigma", "cov.csv"]],
+    # sigma^2 = 1e308 is finite: the bound overflows (exit 2), the instance does
+    # not, and estimation on it overflows (exit 2)
+    "bound-sigma1e154": [["bound", "--n", "50", "--sigma", "1e154"]],
+    "bound-p3-sigma1e154": [["bound", "--n", "50", "--p", "3", "--sigma", "1e154"]],
+    "gen-p3-sigma1e154": [["gen", "--n", "12", "--p", "3", "--sigma", "1e154", "--out", "inst"]],
+    "estimate-p3-sigma1e154": [["estimate", "--n", "12", "--p", "3", "--sigma", "1e154"]],
+    "usage-gen-asymmetric-1e200-cov": [["gen", "--sigma", "cov.csv", "--out", "inst"]],
     "lemma-procrustes": [["lemma", "--kind", "procrustes", "--trials", "50",
                           "--out", "lemma.csv"]],
     "lemma-tracemax": [["lemma", "--kind", "tracemax", "--trials", "10"]],
@@ -195,6 +206,8 @@ INPUTS["gen-p3-cov"] = INPUTS["bound-p3-cov"]
 # a nonzero rank-1 covariance for p = 2, [2, 1]^T [2, 1] written exactly: Cholesky
 # meets an exact zero pivot, so the noise draw takes the eigendecomposition route
 INPUTS["gen-rank1-cov"] = {"cov.csv": matrix_file([(4, 2), (2, 1)], 0)}
+# [[1, 0], [0.1, 1]] times 1e200: asymmetric at any scale, so a usage error
+INPUTS["usage-gen-asymmetric-1e200-cov"] = {"cov.csv": matrix_file([(1, 0), (0.1, 1)], 200)}
 for _scale, _files in HUGE.items():
     for _est in ("brute", "alta"):
         COMMANDS[f"huge-{_scale}-{_est}"] = [[
