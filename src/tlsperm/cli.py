@@ -43,6 +43,8 @@ from .evaluation import (
 from .matio import format_float, read_matrix, read_permutation, write_matrix, write_permutation
 from .model import (
     ProblemInstance,
+    _draw,
+    _noise_factor,
     as_covariance,
     generate_design,
     generate_observations,
@@ -142,8 +144,8 @@ def _mixing(p: int, theta: float, rng) -> np.ndarray:
 
 
 def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, int]]:
-    """Validate the sweep and resolve each grid value g to (n, covariance, k):
-    the estimators start from partial_shuffle(n, k), a shuffle of the top k rows.
+    """Validate the sweep and resolve each grid value g to (n, left_t, k), with
+    left_t the transposed noise factor and partial_shuffle(n, k) the start.
 
     The true permutation is always the identity. By axis:
     noise: g is the scalar noise level, at n = cfg.n;
@@ -154,7 +156,8 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, int]]:
       estimators start from a shuffle of the top round(g * n) rows.
     Every other axis starts from cfg.init, which is checked on every axis.
     cfg.sigma and cfg.theta are checked on every axis and at every p, then
-    each point's start against its n, all before any trial runs.
+    each point's start against its n, then its scaled covariance, factored
+    here once; all before any trial runs.
     """
     if cfg.axis not in SWEEP_AXES:
         raise ContractViolation(f"unknown sweep axis {cfg.axis!r}")
@@ -194,7 +197,7 @@ def _sweep_points(cfg: ExperimentConfig) -> list[tuple[int, np.ndarray, int]]:
         scale = cfg.grid[0] / n if cfg.axis == "snr" else 1.0
         k = round(float(g) * n) if cfg.axis == "shuffle" else _shuffle_size(cfg.init, n)
         points.append((n, cov * scale * scale, k))
-    return points
+    return [(n, _noise_factor(as_covariance(cov, cfg.p)).T, k) for n, cov, k in points]
 
 
 def _run_estimator(label: str, y1, y2, init) -> EstimateResult:
@@ -206,36 +209,30 @@ def _run_estimator(label: str, y1, y2, init) -> EstimateResult:
 
 
 def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
-                      n: int, cov: np.ndarray, k: int) -> list[dict]:
+                      n: int, left_t: np.ndarray, k: int) -> list[dict]:
     rng = stream(cfg.seed, gi, ti)
-    if cfg.fresh_design:
-        design_rng = rng
-    else:
-        # one design shared by all trials at this grid point; the stream at
-        # trial index cfg.trials is never consumed by a real trial
-        design_rng = stream(cfg.seed, gi, cfg.trials)
+    # without fresh designs, one design is shared by all trials at this grid
+    # point; the stream at trial index cfg.trials is never consumed by a real trial
+    design_rng = rng if cfg.fresh_design else stream(cfg.seed, gi, cfg.trials)
     x = generate_design(n, cfg.p, design_rng)
     r = _mixing(cfg.p, cfg.theta, design_rng)
     pi_star = identity_permutation(n)
     init = partial_shuffle(n, k, rng)
-    obs = generate_observations(ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov), rng)
+    obs = _draw(x, r, pi_star, left_t, rng)
     records = []
     for label in cfg.estimators:
         t0 = time.perf_counter()
         try:
             result = _run_estimator(label, obs.y1, obs.y2, init)
             perm = result.perm
-            objective = result.best_objective
-            iterations = result.iterations
-            converged = result.converged
-            failed = result.failure or ""
+            outcome = {"objective": result.best_objective, "iterations": result.iterations,
+                       "converged": result.converged, "failed": result.failure or ""}
         except NumericalFailure as exc:
-            perm = init
+            perm = None  # no estimate: its loss cells stay empty
             with np.errstate(over="ignore", invalid="ignore"):
                 objective = tls_objective(obs.y2, obs.y1[init])
-            iterations = 0
-            converged = False
-            failed = exc.__class__.__name__.lower()
+            outcome = {"objective": objective, "iterations": 0, "converged": False,
+                       "failed": exc.__class__.__name__.lower()}
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append({
             "axis": cfg.axis,
@@ -243,13 +240,10 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
             "grid_value": float(cfg.grid[gi]),
             "estimator": label,
             "trial": ti,
-            "procrustes_loss": _procrustes_loss(x, pi_star, perm),
-            "quadratic_loss": _quadratic_loss(x, pi_star, perm),
-            "hamming": _hamming_distance(pi_star, perm),
-            "objective": objective,
-            "iterations": iterations,
-            "converged": converged,
-            "failed": failed,
+            "procrustes_loss": None if perm is None else _procrustes_loss(x, pi_star, perm),
+            "quadratic_loss": None if perm is None else _quadratic_loss(x, pi_star, perm),
+            "hamming": None if perm is None else _hamming_distance(pi_star, perm),
+            **outcome,
             "wall_ms": f"{wall_ms:.3f}",
         })
     return records
@@ -278,13 +272,17 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 
 def summarize(records: list[dict]) -> list[dict]:
-    """Per (grid point, estimator): mean and quartiles of the alignment loss."""
+    """Per (grid point, estimator): loss means and quartiles over finished trials."""
     rows = []
     keys = sorted({(rec["grid_index"], rec["estimator"]) for rec in records})
     for gi, label in keys:
         grp = [rec for rec in records if rec["grid_index"] == gi and rec["estimator"] == label]
-        losses = np.array([rec["procrustes_loss"] for rec in grp])
-        q25, q50, q75 = np.quantile(losses, [0.25, 0.5, 0.75])
+        done = [rec for rec in grp if rec["procrustes_loss"] is not None]
+        losses = np.array([rec["procrustes_loss"] for rec in done])
+        stats = ([float(v) for v in (losses.mean(), *np.quantile(losses, [0.25, 0.5, 0.75]),
+                                     np.mean([rec["quadratic_loss"] for rec in done]),
+                                     np.mean([rec["hamming"] for rec in done]))]
+                 if done else [None] * 6)
         rows.append({
             "axis": grp[0]["axis"],
             "grid_index": gi,
@@ -292,12 +290,8 @@ def summarize(records: list[dict]) -> list[dict]:
             "estimator": label,
             "trials": len(grp),
             "failures": sum(1 for rec in grp if rec["failed"]),
-            "mean_procrustes": float(losses.mean()),
-            "q25_procrustes": float(q25),
-            "median_procrustes": float(q50),
-            "q75_procrustes": float(q75),
-            "mean_quadratic": float(np.mean([rec["quadratic_loss"] for rec in grp])),
-            "mean_hamming": float(np.mean([rec["hamming"] for rec in grp])),
+            **dict(zip(("mean_procrustes", "q25_procrustes", "median_procrustes",
+                        "q75_procrustes", "mean_quadratic", "mean_hamming"), stats)),
         })
     return rows
 
@@ -307,13 +301,13 @@ def _cell(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return format_float(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def write_table(path, schema: str, rows: list[dict]) -> None:
     """Write a schema line, the first row's keys as the column line, then one
-    comma-joined line of cells per row: floats as format_float, bools as 1/0,
-    anything else through str."""
+    comma-joined line of cells per row: None as an empty cell, floats as
+    format_float, bools as 1/0, anything else through str."""
     lines = [schema, ",".join(rows[0])]
     lines += [",".join(_cell(v) for v in row.values()) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -324,12 +318,13 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def write_sweep_svg(path, rows: list[dict], title: str) -> None:
     """Minimal self-contained line chart: mean alignment loss per grid point,
-    one polyline per estimator."""
+    one polyline per estimator; a point where no trial finished is left out."""
     width, height = 640, 420
     left, right, top, bottom = 70, 20, 40, 50
     estimators = sorted({row["estimator"] for row in rows})
     grid_vals = sorted({(row["grid_index"], row["grid_value"]) for row in rows})
-    ymax = max(max(row["mean_procrustes"] for row in rows), 1e-12) * 1.08
+    scored = [row for row in rows if row["mean_procrustes"] is not None]
+    ymax = max([row["mean_procrustes"] for row in scored] + [1e-12]) * 1.08
     plot_w = width - left - right
     plot_h = height - top - bottom
 
@@ -367,7 +362,7 @@ def write_sweep_svg(path, rows: list[dict], title: str) -> None:
     for k, label in enumerate(estimators):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
         pts = [(row["grid_index"], row["mean_procrustes"])
-               for row in rows if row["estimator"] == label]
+               for row in scored if row["estimator"] == label]
         pts.sort()
         coords = " ".join(f"{xpos(gi):.2f},{ypos(v):.2f}" for gi, v in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -660,8 +655,10 @@ def _cmd_sweep(args) -> int:
         write_sweep_svg(svg_path, summary, f"{cfg.axis} sweep, n={cfg.n}, p={cfg.p}")
         print(svg_path)
     for row in summary:
-        print(f"{row['axis']}={row['grid_value']:g} {row['estimator']}: "
-              f"mean={row['mean_procrustes']:.6g} median={row['median_procrustes']:.6g}")
+        stats = (f"mean={row['mean_procrustes']:.6g} median={row['median_procrustes']:.6g}"
+                 if row["mean_procrustes"] is not None else "mean=n/a median=n/a")
+        failures = f" failures={row['failures']}" if row["failures"] else ""
+        print(f"{row['axis']}={row['grid_value']:g} {row['estimator']}: {stats}{failures}")
     return 0
 
 

@@ -16,12 +16,12 @@ fits or a degenerate fit. A non-finite objective or cost matrix (inputs so large
 that squares overflow) raises NumericalFailure; numpy's overflow warnings are
 silenced on the way, since the failure itself reports them.
 
-Inputs are validated once, by the public functions. The engine and the
-private kernels (``_cost``, ``tls._fit``) take arrays that are already
-validated; ``tls_objective`` checks a float64 pair in one pass over the stack
-it factors. ``solve_lap``'s scan is the only scan of a cost: every engine cost
-is a square float64 matrix, so a rejection there means a non-finite entry,
-an overflow, which the engine raises as NumericalFailure.
+Inputs are validated once, by the public functions. The engine and the private
+kernels (``_cost``, ``tls._fit``) take arrays that are already validated;
+``tls_objective`` checks a float64 pair in one pass over the stack it scores,
+other input by ``_observation_pair`` first. ``solve_lap``'s scan is the only
+scan of a cost: every engine cost is a square float64 matrix, so a rejection
+there means a non-finite entry, an overflow, raised as NumericalFailure.
 
 Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
 and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so

@@ -4,7 +4,7 @@ The bound and the two inequality checks mirror the analysis the estimators
 rest on; the checks return (lhs, rhs) pairs so harness code and tests can
 assert the inequality and inspect the gap. Both bounds read the noise
 covariance only through its eigenvalues, taken once by ``model._covariance``;
-a trace or bound that overflows raises NumericalFailure.
+a design norm, trace or bound that overflows raises NumericalFailure.
 """
 from __future__ import annotations
 
@@ -102,7 +102,8 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
         raise ContractViolation(f"mixing matrix must be {p}x{p}, got {rm.shape}")
     if not (0.0 < eta < math.inf and 0.0 < c < math.inf):
         raise ContractViolation("eta and c must be positive")
-    norm_x = float(np.linalg.norm(mat))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, checked below
+        norm_x = float(np.linalg.norm(mat))
     if norm_x <= 0.0:
         raise ContractViolation("design must be nonzero")
     cov, vals = _covariance(sigma, p)
@@ -127,7 +128,7 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
     bound = (2.0 * p / (s_bot ** 2 * norm_x ** 2)) * (1.0 + eta * a_n) * lam1 * (
         16.0 * s_top * norm_x * math.sqrt(2.0 * n) + 2.0 * n
     )
-    if not (math.isfinite(trace) and math.isfinite(a_n) and math.isfinite(bound)):
+    if not all(map(math.isfinite, (norm_x, trace, a_n, bound))):
         raise NumericalFailure("loss bound is not finite; the inputs may overflow")
     return BoundValue(
         bound=bound, a_n=a_n, snr=_snr(mat, cov),

@@ -12,8 +12,8 @@ package's public functions run on their matrix inputs; the underscored kernels
 The small dense kernels call LAPACK drivers from ``scipy.linalg.lapack``
 directly, bound once below: ``dgesdd`` for the thin SVD and for singular
 values alone, ``dgesv`` for square solves, ``dlange`` for the largest
-magnitude and the Frobenius norm. ``tls.tls_objective`` calls ``_gesdd`` and
-``_lange`` in its own frame, with its own finiteness and info checks.
+magnitude and the Frobenius norm. ``tls.tls_objective`` checks its stack with
+``_lange`` and scores it by ``_singular_values``.
 ``model._covariance`` takes Frobenius norms from ``_lange``, which scales its
 sum of squares and so overflows only when the norm itself does. At the sizes
 used here the ``numpy.linalg`` wrappers cost more than the LAPACK work. The
@@ -55,7 +55,9 @@ def _svd_factors(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _singular_values(arr: np.ndarray) -> np.ndarray:
     """Singular values of a validated matrix, descending. Cheaper than
     _svd_factors when the factors are unused."""
-    _, s, _, info = _gesdd(arr, compute_uv=0)
+    # compute_uv=0 by position: f2py's keyword parsing is a measurable share
+    # of a call brute force makes per permutation
+    _, s, _, info = _gesdd(arr, 0)
     _check_info("dgesdd", info)
     return s
 

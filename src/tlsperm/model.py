@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, RankDeficient
+from .errors import ContractViolation, NumericalFailure, RankDeficient
 from .linalg import _lange, _rank_deficient, _svd_factors, as_matrix
 
 Rng = np.random.Generator
@@ -94,7 +94,8 @@ def _covariance(sigma, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The one covariance check: as_covariance(sigma, p) and its eigenvalues,
     descending. A scalar's are sigma^2, p times, with no eigendecomposition. A
     matrix's come from one eigvalsh of its symmetric part; that part and the
-    symmetry test are formed from halves, so no finite entry overflows them."""
+    symmetry test are formed from halves, so no finite entry overflows them.
+    Both tolerances are relative: rescaling never changes the verdict."""
     if p < 1:
         raise ContractViolation("p must be >= 1")
     if np.isscalar(sigma):
@@ -111,10 +112,10 @@ def _covariance(sigma, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolation(f"covariance must be {p}x{p}, got {cov.shape}")
     half, half_t = cov * 0.5, cov.T * 0.5
     # dlange scales its sum of squares: no overflow unless the norm overflows
-    if _lange("F", half - half_t) > 1e-12 * (0.5 + _lange("F", half)):
+    if _lange("F", half - half_t) > 1e-12 * _lange("F", half):
         raise ContractViolation("covariance must be symmetric")
     vals = np.linalg.eigvalsh(half + half_t)[::-1]
-    if vals[-1] < -1e-12 * max(1.0, float(vals[0])):
+    if vals[-1] < -1e-12 * vals[0]:
         raise ContractViolation("covariance must be positive semidefinite")
     return cov, vals
 
@@ -172,9 +173,14 @@ def generate_observations(instance: ProblemInstance, rng: Rng) -> Observations:
     if r.shape != (p, p):
         raise ContractViolation(f"mixing matrix must be {p}x{p}, got {r.shape}")
     pi_star = as_permutation(instance.pi_star, n)
-    left_t = _noise_factor(as_covariance(instance.sigma, p)).T
-    y1 = x + rng.standard_normal((n, p)) @ left_t
-    y2 = x[pi_star] @ r + rng.standard_normal((n, p)) @ left_t
+    return _draw(x, r, pi_star, _noise_factor(as_covariance(instance.sigma, p)).T, rng)
+
+
+def _draw(x: np.ndarray, r: np.ndarray, pi_star: np.ndarray, left_t: np.ndarray,
+          rng: Rng) -> Observations:
+    """generate_observations() on checked inputs; left_t is the noise factor transposed."""
+    y1 = x + rng.standard_normal(x.shape) @ left_t
+    y2 = x[pi_star] @ r + rng.standard_normal(x.shape) @ left_t
     return Observations(y1=y1, y2=y2)
 
 
@@ -185,8 +191,11 @@ def snr(x, sigma) -> float:
 
 
 def _snr(mat: np.ndarray, cov: np.ndarray) -> float:
-    """snr() on a validated design and covariance."""
-    trace = float(np.trace(cov))
+    """snr() on a validated design and covariance; NumericalFailure on overflow."""
+    with np.errstate(over="ignore"):  # an overflow is inf, raised below
+        trace, norm = float(np.trace(cov)), float(np.linalg.norm(mat))
+    if not (math.isfinite(trace) and math.isfinite(norm)):
+        raise NumericalFailure("signal-to-noise ratio overflows")
     if trace <= 0.0:
         return float("inf")
-    return float(np.linalg.norm(mat)) ** 2 / (mat.shape[0] * trace)
+    return norm ** 2 / (mat.shape[0] * trace)

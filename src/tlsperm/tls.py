@@ -7,8 +7,8 @@ estimator in this package minimizes over row alignments.
 
 ``tls_objective`` scores it for brute force, aloa, alta's degenerate fits, cli
 and evaluation; alta's fitted iterates take theirs from ``_fit``'s SVD. It
-checks a float64 pair with one finiteness pass over the stack, then the SVD;
-every other input, and ``tls_fit``'s, is checked by ``_observation_pair``.
+checks a float64 pair by one finiteness pass over the stack it scores, and any
+other input, like ``tls_fit``'s, by ``_observation_pair`` first.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DegenerateFit
-from .linalg import (_gesdd, _lange, _rank_deficient, _singular_values, _solve, _svd_factors,
-                     as_matrix)
+from .linalg import _lange, _rank_deficient, _singular_values, _solve, _svd_factors, as_matrix
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -40,28 +39,22 @@ def tls_objective(y2, y1p) -> float:
     """Sum of the p smallest squared singular values of [y2 | y1p].
 
     Two float64 ndarrays (exact type and dtype) of one 2-D shape with
-    n >= 2p >= 2 are stacked once, accepted when the stack is finite and
-    scored when LAPACK succeeds; anything else, a LAPACK failure included, is
-    checked by _observation_pair and scored by the same SVD, with the same
-    values and errors. Callers: brute_force_tls, aloa, alta, cli, evaluation.
+    n >= 2p >= 2 go straight to the stack; anything else is checked by
+    _observation_pair first. A stack that is not finite reruns that check for
+    its error; a finite one is scored by linalg._singular_values. Callers:
+    brute_force_tls, aloa, alta, cli, evaluation.
     """
-    if (type(y2) is np.ndarray and type(y1p) is np.ndarray
+    if not (type(y2) is np.ndarray and type(y1p) is np.ndarray
             and y2.dtype is _FLOAT64 and y1p.dtype is _FLOAT64
-            and y2.ndim == 2 and y2.shape == y1p.shape):
-        n, p = y2.shape
-        if n >= 2 * p >= 2:
-            stack = np.concatenate((y2, y1p), axis=1)
-            # dlange's largest magnitude propagates NaN; a C-ordered stack is
-            # read in place as its Fortran-ordered transpose
-            if math.isfinite(_lange("M", stack.T)):
-                # compute_uv=0 by position: f2py's keyword parsing is a
-                # measurable share of a call brute force makes per permutation
-                _, s, _, info = _gesdd(stack, 0)
-                if info == 0:
-                    tail = s[p:]
-                    return float(np.add.reduce(tail * tail))
-    m1, m2, _, p = _observation_pair(y1p, y2)
-    tail = _singular_values(np.concatenate((m2, m1), axis=1))[p:]
+            and y2.ndim == 2 and y2.shape == y1p.shape
+            and y2.shape[0] >= 2 * y2.shape[1] >= 2):
+        y1p, y2, _, _ = _observation_pair(y1p, y2)
+    stack = np.concatenate((y2, y1p), axis=1)
+    # dlange's largest magnitude propagates NaN; a C-ordered stack is read in
+    # place as its Fortran-ordered transpose
+    if not math.isfinite(_lange("M", stack.T)):
+        _observation_pair(y1p, y2)  # raises the named error
+    tail = _singular_values(stack)[y2.shape[1]:]
     return float(np.add.reduce(tail * tail))
 
 

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlsperm import cli
+from tlsperm import cli, model
 from tlsperm.cli import main
-from tlsperm.errors import ContractViolation
+from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.estimators import alta
 from tlsperm.evaluation import hamming_distance, procrustes_loss, quadratic_loss
 from tlsperm.matio import (
@@ -330,8 +330,9 @@ class TestSweep:
 
     def test_numerical_failures_become_records(self, tmp_path, capsys):
         """sigma = 1e154 is a valid noise level whose observations overflow
-        every residual: alta and aloa fail, and each failure is a record
-        scored at the initial permutation; brute force still finishes."""
+        every residual: alta and aloa fail, and each failure is a record with
+        empty loss cells and its objective at the initial permutation; brute
+        force still finishes."""
         out = tmp_path / "huge.csv"
         assert run("sweep", "--sweep", "noise", "--grid", "1e154", "--n", 8, "--trials", 2,
                    "--estimator", "alta,aloa,brute", "--out", out) == 0
@@ -347,11 +348,83 @@ class TestSweep:
             else:
                 assert r["failed"] == "numericalfailure"
                 assert (r["iterations"], r["converged"], r["objective"]) == ("0", "0", "inf")
+                assert (r["procrustes_loss"], r["quadratic_loss"], r["hamming"]) == ("", "", "")
         summary = out.with_suffix(".summary.csv").read_text().splitlines()
         columns = summary[1].split(",")
         failures = {row["estimator"]: row["failures"]
                     for row in (dict(zip(columns, line.split(","))) for line in summary[2:])}
         assert failures == {"aloa": "2", "alta_c3": "2", "brute": "0"}
+
+    def test_failed_trials_are_left_out_of_the_losses(self, tmp_path, capsys, monkeypatch):
+        """aloa fails every trial and alta_c3 its first: their loss cells stay
+        empty, the summary averages the finished trials only and leaves its
+        cells empty where none finished, the stdout line counts the failures,
+        and the chart has no point where no trial finished."""
+        real = cli._run_estimator
+        failed = []
+
+        def flaky(label, y1, y2, init):
+            if label == "aloa" or (label == "alta_c3" and not failed):
+                failed.append(label)
+                raise NumericalFailure("injected")
+            return real(label, y1, y2, init)
+
+        monkeypatch.setattr(cli, "_run_estimator", flaky)
+        out = tmp_path / "r.csv"
+        assert run("sweep", "--sweep", "noise", "--grid", "0.1,0.3", "--n", 12, "--trials", 3,
+                   "--seed", 4, "--estimator", "alta,aloa", "--init", "random", "--svg",
+                   "--out", out) == 0
+        stdout = capsys.readouterr().out.splitlines()
+
+        def table(path):
+            lines = path.read_text().splitlines()
+            return [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+
+        losses = ("procrustes_loss", "quadratic_loss", "hamming")
+        records = table(out)
+        for r in records:
+            unfinished = r["estimator"] == "aloa" or (r["grid_index"], r["trial"]) == ("0", "0")
+            assert (r["failed"] == "numericalfailure") == unfinished
+            assert all((r[key] == "") == unfinished for key in losses)
+        summary = {(row["grid_index"], row["estimator"]): row
+                   for row in table(out.with_suffix(".summary.csv"))}
+        stats = ("mean_procrustes", "q25_procrustes", "median_procrustes", "q75_procrustes",
+                 "mean_quadratic", "mean_hamming")
+        for gi in ("0", "1"):
+            row = summary[gi, "aloa"]
+            assert (row["trials"], row["failures"]) == ("3", "3")
+            assert all(row[key] == "" for key in stats)
+            done = [r for r in records if r["estimator"] == "alta_c3" and r["grid_index"] == gi
+                    and not r["failed"]]
+            row = summary[gi, "alta_c3"]
+            assert (len(done), row["failures"]) == ((2, "1") if gi == "0" else (3, "0"))
+            for stat, key in (("mean_procrustes", "procrustes_loss"),
+                              ("mean_quadratic", "quadratic_loss"), ("mean_hamming", "hamming")):
+                want = float(np.mean([float(r[key]) for r in done]))
+                assert float(row[stat]) == want
+        lines = [line for line in stdout if line.startswith("noise=")]
+        assert lines[0] == "noise=0.1 aloa: mean=n/a median=n/a failures=3"
+        assert lines[1].startswith("noise=0.1 alta_c3: mean=") and lines[1].endswith(" failures=1")
+        assert lines[3].startswith("noise=0.3 alta_c3: mean=") and "failures" not in lines[3]
+        svg = out.with_suffix(".svg").read_text()
+        assert svg.count("<circle") == 2 and svg.count("<polyline") == 2
+
+    def test_each_grid_point_factors_its_covariance_once(self, tmp_path, capsys, monkeypatch):
+        """A sweep of G points and T trials factors G covariances, not G x T."""
+        real = model._noise_factor
+        calls = []
+
+        def counting(cov):
+            calls.append(cov.shape)
+            return real(cov)
+
+        # both bindings: generate_observations' and the sweep's own
+        monkeypatch.setattr(model, "_noise_factor", counting)
+        monkeypatch.setattr(cli, "_noise_factor", counting)
+        assert run("sweep", "--sweep", "noise", "--grid", "0.1,0.2,0.3", "--n", 12,
+                   "--trials", 4, "--estimator", "aloa", "--out", tmp_path / "r.csv") == 0
+        capsys.readouterr()
+        assert calls == [(2, 2)] * 3
 
     def test_svg_written_with_one_line_per_estimator(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -516,6 +589,8 @@ class TestSweep:
         cell, binary = tmp_path / "cell.csv", tmp_path / "binary.csv"
         cell.write_text("2,2\n1,x\n3,4\n")
         binary.write_bytes(bytes(range(256)))
+        tiny = tmp_path / "tiny.csv"  # indefinite at any scale, 1e-13 included
+        tiny.write_text("2,2\n1e-13,0\n0,-1e-13\n")
         sweep = ("sweep", "--out", out, "--sweep")
         spec_errors = [
             (("estimate", "--estimator", "alta,aloa"),
@@ -548,6 +623,7 @@ class TestSweep:
              "rotation angle must be finite, got inf"),
             (("estimate", "--sigma", "inf"), "covariance contains NaN or Inf entries"),
             (("bound", "--sigma", "1e200"), "covariance contains NaN or Inf entries"),
+            (("bound", "--n", 50, "--sigma", tiny), "covariance must be positive semidefinite"),
             ((*sweep, "n", "--grid", "8", "--sigma", "inf"),
              "covariance contains NaN or Inf entries"),
             ((*sweep, "noise", "--grid", "1e200", "--n", 12),

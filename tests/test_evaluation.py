@@ -194,6 +194,13 @@ class TestRecoveryBound:
         with pytest.raises(NumericalFailure, match="^loss bound is not finite"):
             recovery_bound(x, np.eye(p), 1e154, eta=1.0)
 
+    def test_overflowing_design_norm_fails_without_a_warning(self):
+        """The design's Frobenius norm overflows at 1e200; the bound raises,
+        and no overflow warning comes first (warnings are errors here)."""
+        x = generate_design(10, 2, stream(52)) * 1e200
+        with pytest.raises(NumericalFailure, match="^loss bound is not finite"):
+            recovery_bound(x, rotation_2d(10.0), 0.1, eta=1.0)
+
 
 class TestEigTailRhs:
     def test_matches_direct_formula_when_below_one(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlsperm.errors import ContractViolation
+from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.model import (
     Observations,
     ProblemInstance,
@@ -162,6 +162,9 @@ class TestCovarianceAndNoise:
         (np.ones(2), "covariance must be a nonempty 2-D array, got shape (2,)"),
         (np.array([[1.0, 0.5], [0.0, 1.0]]), "covariance must be symmetric"),
         (np.array([[1.0, 0.0], [0.0, -0.1]]), "covariance must be positive semidefinite"),
+        # no absolute floor: tiny matrices are judged as at scale 1
+        (np.diag([1e-13, -1e-13]), "covariance must be positive semidefinite"),
+        (np.array([[1.0, 0.0], [1.0, 1.0]]) * 1e-13, "covariance must be symmetric"),
     ])
     def test_covariance_error_messages(self, sigma, message):
         with pytest.raises(ContractViolation) as exc:
@@ -178,7 +181,7 @@ class TestCovarianceAndNoise:
         assert np.array_equal(vals, np.full(p, v))
         assert np.array_equal(as_covariance(1e154, p), cov)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-13])
     def test_asymmetry_is_rejected_at_any_scale(self, scale):
         with pytest.raises(ContractViolation, match="^covariance must be symmetric$"):
             as_covariance(np.array([[1.0, 0.0], [0.1, 1.0]]) * scale, 2)
@@ -258,6 +261,13 @@ class TestSnr:
     def test_zero_noise_is_infinite(self):
         x = generate_design(6, 2, stream(18))
         assert snr(x, np.zeros((2, 2))) == float("inf")
+
+    def test_overflowing_trace_is_a_numerical_failure(self):
+        """sigma = 1e154 squares to a finite 1e308, but the trace of the p = 2
+        covariance overflows: a failure, not 0.0 and a warning."""
+        x = generate_design(6, 2, stream(18))
+        with pytest.raises(NumericalFailure, match="^signal-to-noise ratio overflows$"):
+            snr(x, 1e154)
 
     def test_observations_container_fields(self):
         obs = Observations(y1=np.ones((2, 1)), y2=np.zeros((2, 1)))

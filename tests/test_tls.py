@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tlsperm import linalg
-from tlsperm.errors import ContractViolation, DegenerateFit
+from tlsperm.errors import ContractViolation, DegenerateFit, NumericalFailure
 from tlsperm.linalg import _svd_factors
 from tlsperm.model import (
     generate_design,
@@ -350,6 +350,23 @@ class TestInputRoutes:
                 f(y2, y1)
         assert str(err.value) == message
         assert [str(w.message) for w in caught] == []
+
+    def test_lapack_failure_raises_one_message_on_every_route(self, monkeypatch):
+        """A failed dgesdd is one NumericalFailure for a float64 pair and for
+        lists alike, after one SVD: no route retries it."""
+        calls = []
+
+        def failing(a, *args, **kwargs):
+            calls.append(a.shape)
+            return None, np.zeros(min(a.shape)), None, 1
+
+        monkeypatch.setattr(linalg, "_gesdd", failing)
+        for y2, y1 in ((GOOD, GOOD + 0.5), (GOOD.tolist(), (GOOD + 0.5).tolist())):
+            calls.clear()
+            with pytest.raises(NumericalFailure) as err:
+                tls_objective(y2, y1)
+            assert str(err.value) == "dgesdd failed with info=1"
+            assert calls == [(6, 4)]
 
     @pytest.mark.parametrize("f", [tls_objective, tls_fit])
     def test_unconvertible_input_is_numpy_error(self, f):

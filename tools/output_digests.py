@@ -11,7 +11,7 @@ are hashed without their last (wall_ms) column. Compare two trees with
     python3 tools/output_digests.py --src NEW/src > new.txt
     diff old.txt new.txt
 
-Standard library only; takes about 70 s on a 2-vCPU machine (Python 3.11,
+Standard library only; takes about 90 s on a 2-vCPU machine (Python 3.11,
 numpy 2.4, scipy 1.17).
 """
 from __future__ import annotations
@@ -52,6 +52,13 @@ SWEEPS = {
     "noise-1e154": ["--sweep", "noise", "--grid", "1e154", "--n", "8", "--trials", "2",
                     "--estimator", "alta,aloa,brute"],
 }
+# a covariance matrix from cov.csv on the sized axes; the snr grid puts a scale
+# of 2 on the second point
+for _axis, _grid in (("snr", "40,20"), ("n", "8,12")):
+    for _cov, _p in (("rank1-cov", "2"), ("p3-cov", "3")):
+        SWEEPS[f"{_axis}-{_cov}"] = ["--sweep", _axis, "--grid", _grid, "--p", _p,
+                                     "--sigma", "cov.csv", "--trials", "3", "--seed", "5",
+                                     "--estimator", "alta,aloa"]
 GEN_A = ["gen", "--n", "10", "--sigma", "0.1", "--perm", "random", "--seed", "7", "--out", "A"]
 GEN_B = ["gen", "--n", "8", "--sigma", "0.1", "--perm", "random", "--seed", "8", "--out", "B"]
 FILE_ROUTE = ["estimate", "--y1", "A/y1.csv", "--y2", "A/y2.csv"]
@@ -208,13 +215,25 @@ INPUTS["gen-p3-cov"] = INPUTS["bound-p3-cov"]
 INPUTS["gen-rank1-cov"] = {"cov.csv": matrix_file([(4, 2), (2, 1)], 0)}
 # [[1, 0], [0.1, 1]] times 1e200: asymmetric at any scale, so a usage error
 INPUTS["usage-gen-asymmetric-1e200-cov"] = {"cov.csv": matrix_file([(1, 0), (0.1, 1)], 200)}
+for _axis in ("snr", "n"):
+    INPUTS[f"sweep-{_axis}-rank1-cov"] = INPUTS["gen-rank1-cov"]
+    INPUTS[f"sweep-{_axis}-p3-cov"] = INPUTS["bound-p3-cov"]
+# covariances near 1e-13: indefinite, asymmetric, and a valid diagonal one
+TINY = {"indefinite": matrix_file([(1, 0), (0, -1)], -13),
+        "asymmetric": matrix_file([(1, 0), (1, 1)], -13),
+        "diagonal": matrix_file([(1, 0), (0, 2)], -13)}
+for _name, _cov in TINY.items():
+    COMMANDS[f"gen-tiny-{_name}-cov"] = [["gen", "--n", "8", "--sigma", "cov.csv",
+                                          "--out", "inst"]]
+    COMMANDS[f"bound-tiny-{_name}-cov"] = [["bound", "--n", "50", "--sigma", "cov.csv"]]
+    INPUTS[f"gen-tiny-{_name}-cov"] = INPUTS[f"bound-tiny-{_name}-cov"] = {"cov.csv": _cov}
 for _scale, _files in HUGE.items():
     for _est in ("brute", "alta"):
         COMMANDS[f"huge-{_scale}-{_est}"] = [[
             "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est]]
         INPUTS[f"huge-{_scale}-{_est}"] = _files
 # a rank-1 y1 (its second column twice its first): alta's first fit is
-# degenerate, so its objective comes from the fallback scorer, and aloa
+# degenerate, so its objective comes from tls_objective, and aloa
 # refuses the design as rank deficient
 RANK1 = {"y1.csv": matrix_file([(1, 2), (2, 4), (-1, -2), (3, 6), (0, 0), (-2, -4), (1, 2)], 0),
          "y2.csv": matrix_file([(3, 1), (-2, 4), (5, -1), (1, 2), (-4, -3), (2, 5), (0, -2)], 0)}
