@@ -152,6 +152,8 @@ COMMANDS.update({
     "bound-p3-sigma1e154": [["bound", "--n", "50", "--p", "3", "--sigma", "1e154"]],
     "gen-p3-sigma1e154": [["gen", "--n", "12", "--p", "3", "--sigma", "1e154", "--out", "inst"]],
     "estimate-p3-sigma1e154": [["estimate", "--n", "12", "--p", "3", "--sigma", "1e154"]],
+    # the residual at the truth overflows, though brute force's own search does not
+    "bruteforce-sigma1e154": [["bruteforce", "--n", "8", "--sigma", "1e154", "--seed", "0"]],
     "usage-gen-asymmetric-1e200-cov": [["gen", "--sigma", "cov.csv", "--out", "inst"]],
     "lemma-procrustes": [["lemma", "--kind", "procrustes", "--trials", "50",
                           "--out", "lemma.csv"]],
@@ -193,14 +195,14 @@ def matrix_file(rows, exponent: int) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# A 7 x 2 pair of small integers, written at a chosen power of ten.
+PAIR_Y1 = [(3, 1), (-2, 4), (5, -1), (1, 2), (-4, -3), (2, 5), (0, -2)]
+PAIR_Y2 = [(1, -3), (4, 2), (-2, 5), (3, 3), (-1, -4), (5, 0), (2, -2)]
 # Huge but finite inputs. At 1e200 every residual overflows, so brute force
 # and alta end in a numerical failure. At 1e308 even sums of a few entries
 # overflow; the entries are still valid.
 HUGE = {
-    "1e200": {"y1.csv": matrix_file([(3, 1), (-2, 4), (5, -1), (1, 2), (-4, -3), (2, 5),
-                                     (0, -2)], 200),
-              "y2.csv": matrix_file([(1, -3), (4, 2), (-2, 5), (3, 3), (-1, -4), (5, 0),
-                                     (2, -2)], 200)},
+    "1e200": {"y1.csv": matrix_file(PAIR_Y1, 200), "y2.csv": matrix_file(PAIR_Y2, 200)},
     "1e308": {"y1.csv": matrix_file([(1,), (-1.5,), (1.25,), (1.75,), (-0.5,), (1.5,),
                                      (0.75,)], 308),
               "y2.csv": matrix_file([(-0.5,), (1,), (1.75,), (1.25,), (0.75,), (-1.5,),
@@ -232,6 +234,16 @@ for _scale, _files in HUGE.items():
         COMMANDS[f"huge-{_scale}-{_est}"] = [[
             "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est]]
         INPUTS[f"huge-{_scale}-{_est}"] = _files
+# the same pair at common scales whose squares underflow (1e-170, 1e-300) and at
+# scale 1: an estimate that does not depend on a common scale writes one
+# permutation for all three
+for _exp in (-170, -300, 0):
+    for _est in ("brute", "alta", "aloa"):
+        COMMANDS[f"scaled-1e{_exp}-{_est}"] = [[
+            "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est,
+            "--out", "perm.txt"]]
+        INPUTS[f"scaled-1e{_exp}-{_est}"] = {"y1.csv": matrix_file(PAIR_Y1, _exp),
+                                               "y2.csv": matrix_file(PAIR_Y2, _exp)}
 # a rank-1 y1 (its second column twice its first): alta's first fit is
 # degenerate, so its objective comes from tls_objective, and aloa
 # refuses the design as rank deficient
