@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -228,8 +229,8 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
             outcome = {"objective": result.best_objective, "iterations": result.iterations,
                        "converged": result.converged, "failed": result.failure or ""}
         except NumericalFailure as exc:
-            perm = None  # no estimate: its loss cells stay empty
-            with np.errstate(over="ignore", invalid="ignore"):
+            perm = objective = None  # no estimate: its loss cells stay empty
+            with suppress(NumericalFailure):  # the start's objective may overflow too
                 objective = tls_objective(obs.y2, obs.y1[init])
             outcome = {"objective": objective, "iterations": 0, "converged": False,
                        "failed": exc.__class__.__name__.lower()}

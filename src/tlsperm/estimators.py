@@ -12,16 +12,21 @@ Both iterative schemes run on one engine, ``_alternate``, and supply only a
 fit step and a cost step. Both descend: an exact assignment minimises a
 majoriser of the rank-p residual, and the least-squares scheme is
 block-coordinate descent. The engine stops at a fixed point, a stall, MAX_ITER
-fits or a degenerate fit. A non-finite objective or cost matrix (inputs so large
-that squares overflow) raises NumericalFailure; numpy's overflow warnings are
-silenced on the way, since the failure itself reports them.
+fits or a degenerate fit.
+
+Every estimator works in one frame: after validation, ``tls._framed_pair``
+divides y1 and y2 by the power of two that puts their largest magnitude in
+[0.5, 1). Every fit, cost, assignment and stop rule runs there, and each
+objective returns to the caller's units by an exact power of two. So a common
+rescaling of y1 and y2 by 2^k returns the same estimate, and an objective that
+does not fit in the caller's units is the one overflow, a NumericalFailure.
 
 Inputs are validated once, by the public functions. The engine and the private
 kernels (``_cost``, ``tls._fit``) take arrays that are already validated;
 ``tls_objective`` checks a float64 pair in one pass over the stack it scores,
 other input by ``_observation_pair`` first. ``solve_lap``'s scan is the only
 scan of a cost: every engine cost is a square float64 matrix, so a rejection
-there means a non-finite entry, an overflow, raised as NumericalFailure.
+there means a non-finite entry, raised as NumericalFailure.
 
 Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
 and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so
@@ -44,7 +49,7 @@ from .errors import ContractViolation, DegenerateFit, NumericalFailure, RankDefi
 from .lap import solve_lap
 from .linalg import _rank_deficient, _singular_values, _solve, as_matrix
 from .model import as_permutation, identity_permutation
-from .tls import TlsFit, _fit, _observation_pair, tls_objective
+from .tls import TlsFit, _fit, _framed_pair, _observation_pair, _unscaled, tls_objective
 
 COST_KINDS = ("c1", "c2", "c3", "c4")
 
@@ -80,23 +85,18 @@ def brute_force_tls(y1, y2) -> EstimateResult:
     """Exact argmin of the rank-p residual over all n! row alignments.
 
     Refuses n > BRUTE_FORCE_LIMIT. Ties break to the lexicographically first permutation.
-    Raises NumericalFailure when no alignment has a finite residual.
+    Scores in the frame of ``_framed_pair``, where every residual is at most 2pn.
     """
-    m1, m2, n, _ = _observation_pair(y1, y2)
+    m1, m2, n, e = _framed_pair(y1, y2)
     if n > BRUTE_FORCE_LIMIT:
         raise ContractViolation(f"brute force refused for n={n} > limit={BRUTE_FORCE_LIMIT}")
-    best_obj = np.inf
-    best_perm = identity_permutation(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for perm in itertools.permutations(range(n)):
-            obj = tls_objective(m2, m1.take(perm, axis=0))
-            if obj < best_obj:
-                best_obj = obj
-                best_perm = np.array(perm, dtype=np.intp)
-    if not np.isfinite(best_obj):
-        raise NumericalFailure("rank-p residual is not finite at any alignment")
+    # permutations come in lexicographic order, so on a tie of objectives the
+    # comparison of the permutations themselves picks the first enumerated
+    best_obj, best_perm = min((tls_objective(m2, m1.take(perm, axis=0)), perm)
+                              for perm in itertools.permutations(range(n)))
+    best_obj = _unscaled(best_obj, e)
     return EstimateResult(
-        perm=best_perm,
+        perm=np.array(best_perm, dtype=np.intp),
         iterations=math.factorial(n),
         objective_trace=[best_obj],
         best_objective=best_obj,
@@ -162,16 +162,18 @@ def _check_kind(kind: str) -> None:
         raise ContractViolation(f"unknown cost kind {kind!r}, expected one of {COST_KINDS}")
 
 
-def _start(y1, y2, init) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate the inputs shared by the iterative schemes: (y1, y2, first perm)."""
-    m1, m2, n, _ = _observation_pair(y1, y2)
+def _start(y1, y2, init) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Validate the inputs shared by the iterative schemes: (y1, y2) in the
+    frame of _framed_pair, the first perm, and the frame's exponent."""
+    m1, m2, n, e = _framed_pair(y1, y2)
     pi = identity_permutation(n) if init is None else as_permutation(init, n)
-    return m1, m2, pi
+    return m1, m2, pi, e
 
 
-def _alternate(m1, pi, fit, cost) -> tuple[EstimateResult, list[float]]:
-    """Alternate fit and assignment from pi; return the result and the trace
-    of the selection metric.
+def _alternate(m1, pi, e, fit, cost) -> tuple[EstimateResult, list[float]]:
+    """Alternate fit and assignment from pi in the frame of _framed_pair;
+    return the result and the trace of the selection metric, both scaled back
+    to the caller's units by 2^e.
 
     fit(y1p) gives (selection metric, rank-p objective, model) at the aligned
     y1p = m1[pi], the model None when the fit is degenerate; cost(model, y1p)
@@ -180,43 +182,48 @@ def _alternate(m1, pi, fit, cost) -> tuple[EstimateResult, list[float]]:
     current permutation. Stops at that fixed point, when the metric improves by
     at most STALL_TOL (relative), after MAX_ITER fits, or on a degenerate fit,
     which sets the failure marker.
+
+    In the frame every entry is below 1, so every rank-p objective is at most
+    2pn. The costs are squared distances that the same stack bounds while
+    r_hat is moderate; c4's exact value lies in [0, 2p], as r_hat r_hat.T + I
+    >= I. The rank rule, relative to x_hat alone, does not bound r_hat, though:
+    a y1 about 2^512 below y2 overflows c4's expansion, which squares r_hat,
+    and one about 2^1024 below overflows r_hat itself. solve_lap rejects the
+    non-finite cost that results, reported here as NumericalFailure.
     """
     perms: list[np.ndarray] = []
     scores: list[float] = []
     objectives: list[float] = []
     converged = False
     failure = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(MAX_ITER):
-            perms.append(pi)
-            y1p = m1[pi]
-            score, objective, model = fit(y1p)
-            if not (math.isfinite(score) and math.isfinite(objective)):
-                raise NumericalFailure("objective is not finite; the inputs may overflow")
-            scores.append(score)
-            objectives.append(objective)
-            if model is None:
-                failure = "degenerate_fit"
-                break
-            if it > 0 and scores[-2] - scores[-1] <= STALL_TOL * abs(scores[-2]):
-                converged = True
-                break
-            c = cost(model, y1p)
-            try:
-                assignment, _ = solve_lap(c)
-            except ContractViolation:
-                raise NumericalFailure(
-                    "cost matrix is not finite; the inputs may overflow") from None
-            pi_next = pi[assignment]
-            if (pi_next == pi).all():
-                converged = True
-                break
-            pi = pi_next
+    for it in range(MAX_ITER):
+        perms.append(pi)
+        y1p = m1[pi]
+        score, objective, model = fit(y1p)
+        scores.append(score)
+        objectives.append(objective)
+        if model is None:
+            failure = "degenerate_fit"
+            break
+        if it > 0 and scores[-2] - scores[-1] <= STALL_TOL * abs(scores[-2]):
+            converged = True
+            break
+        try:
+            assignment, _ = solve_lap(cost(model, y1p))
+        except ContractViolation:
+            raise NumericalFailure(
+                "cost matrix is not finite; the inputs may overflow") from None
+        pi_next = pi[assignment]
+        if (pi_next == pi).all():
+            converged = True
+            break
+        pi = pi_next
     best = int(np.argmin(scores))
+    objectives = [_unscaled(v, e) for v in objectives]
     result = EstimateResult(perm=perms[best], iterations=len(scores),
                             objective_trace=objectives, best_objective=objectives[best],
                             converged=converged, failure=failure)
-    return result, scores
+    return result, [_unscaled(v, e) for v in scores]
 
 
 def alta(y1, y2, kind: str = "c3", init=None) -> EstimateResult:
@@ -228,7 +235,7 @@ def alta(y1, y2, kind: str = "c3", init=None) -> EstimateResult:
     failure marker instead of raising. Returns the best recorded iterate.
     """
     _check_kind(kind)
-    m1, m2, pi = _start(y1, y2, init)
+    m1, m2, pi, e = _start(y1, y2, init)
 
     def fit(y1p):
         try:
@@ -241,7 +248,7 @@ def alta(y1, y2, kind: str = "c3", init=None) -> EstimateResult:
     def cost(f: TlsFit, y1p: np.ndarray) -> np.ndarray:
         return _cost(kind, f.x_hat, f.r_hat, y1p, m2)
 
-    return _alternate(m1, pi, fit, cost)[0]
+    return _alternate(m1, pi, e, fit, cost)[0]
 
 
 def aloa(y1, y2, init=None) -> EstimateResult:
@@ -252,7 +259,7 @@ def aloa(y1, y2, init=None) -> EstimateResult:
     use the least-squares residual; the rank-p objective is recorded alongside
     for comparison with the other estimators.
     """
-    m1, m2, pi = _start(y1, y2, init)
+    m1, m2, pi, e = _start(y1, y2, init)
     if _rank_deficient(_singular_values(m1)):
         raise RankDeficient("y1 must have full column rank for the least-squares route")
 
@@ -264,6 +271,6 @@ def aloa(y1, y2, init=None) -> EstimateResult:
     def cost(r_hat: np.ndarray, y1p: np.ndarray) -> np.ndarray:
         return _sqdist(m2, y1p @ r_hat)
 
-    result, residuals = _alternate(m1, pi, fit, cost)
+    result, residuals = _alternate(m1, pi, e, fit, cost)
     result.ols_residual_trace = residuals
     return result

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateFit
+from .errors import ContractViolation, DegenerateFit, NumericalFailure
 from .linalg import _lange, _rank_deficient, _singular_values, _solve, _svd_factors, as_matrix
 
 _FLOAT64 = np.dtype(np.float64)
@@ -35,13 +35,36 @@ def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
     return m1, m2, n, p
 
 
+def _framed_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """_observation_pair(y1, y2) divided by the power of two 2^k that puts the
+    largest magnitude of either matrix in [0.5, 1) (k = 0 for a zero pair).
+    Returns (m1, m2, n, e) with e = 2k: an objective of the framed pair times
+    2^e, by _unscaled, is the objective in the caller's units. The division is
+    exact for every entry within 2^1021 of the largest, so every relative rule
+    and comparison decides as it would unscaled."""
+    m1, m2, n, _ = _observation_pair(y1, y2)
+    k = math.frexp(max(_lange("M", m1.T), _lange("M", m2.T)))[1]
+    return np.ldexp(m1, -k), np.ldexp(m2, -k), n, 2 * k
+
+
+def _unscaled(value: float, e: int) -> float:
+    """value * 2^e, exactly when representable; NumericalFailure on overflow."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise NumericalFailure("objective overflows in the units of the inputs") from None
+
+
 def tls_objective(y2, y1p) -> float:
     """Sum of the p smallest squared singular values of [y2 | y1p].
 
     Two float64 ndarrays (exact type and dtype) of one 2-D shape with
     n >= 2p >= 2 go straight to the stack; anything else is checked by
-    _observation_pair first. A stack that is not finite reruns that check for
-    its error; a finite one is scored by linalg._singular_values. Callers:
+    _observation_pair first. A stack whose largest magnitude is not finite, or
+    is large enough that squares may overflow, is scored in the frame of
+    _framed_pair, which raises the named error on a non-finite entry; a
+    residual that overflows in the caller's units raises NumericalFailure.
+    Any other stack is scored by linalg._singular_values as it is. Callers:
     brute_force_tls, aloa, alta, cli, evaluation.
     """
     if not (type(y2) is np.ndarray and type(y1p) is np.ndarray
@@ -51,9 +74,12 @@ def tls_objective(y2, y1p) -> float:
         y1p, y2, _, _ = _observation_pair(y1p, y2)
     stack = np.concatenate((y2, y1p), axis=1)
     # dlange's largest magnitude propagates NaN; a C-ordered stack is read in
-    # place as its Fortran-ordered transpose
-    if not math.isfinite(_lange("M", stack.T)):
-        _observation_pair(y1p, y2)  # raises the named error
+    # place as its Fortran-ordered transpose. At most 2^480, the squared
+    # Frobenius norm of any array numpy can hold (at most 2^60 entries), which
+    # bounds the residual, is below 2^1020.
+    if not _lange("M", stack.T) <= 2.0 ** 480:
+        y1p, y2, _, e = _framed_pair(y1p, y2)
+        return _unscaled(tls_objective(y2, y1p), e)
     tail = _singular_values(stack)[y2.shape[1]:]
     return float(np.add.reduce(tail * tail))
 

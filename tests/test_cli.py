@@ -330,8 +330,9 @@ class TestSweep:
 
     def test_numerical_failures_become_records(self, tmp_path, capsys):
         """sigma = 1e154 is a valid noise level whose observations overflow
-        every residual: alta and aloa fail, and each failure is a record with
-        empty loss cells and its objective at the initial permutation; brute
+        every residual in the caller's units: alta and aloa fail, and each
+        failure is a record with empty loss cells and an empty objective,
+        since the objective at the initial permutation overflows too; brute
         force still finishes."""
         out = tmp_path / "huge.csv"
         assert run("sweep", "--sweep", "noise", "--grid", "1e154", "--n", 8, "--trials", 2,
@@ -347,7 +348,7 @@ class TestSweep:
                 assert math.isfinite(float(r["objective"]))
             else:
                 assert r["failed"] == "numericalfailure"
-                assert (r["iterations"], r["converged"], r["objective"]) == ("0", "0", "inf")
+                assert (r["iterations"], r["converged"], r["objective"]) == ("0", "0", "")
                 assert (r["procrustes_loss"], r["quadratic_loss"], r["hamming"]) == ("", "", "")
         summary = out.with_suffix(".summary.csv").read_text().splitlines()
         columns = summary[1].split(",")
@@ -697,6 +698,16 @@ class TestBruteforceCommand:
         assert fields["permutations_tried"] == "720"
         assert (float(fields["objective_at_estimate"])
                 <= float(fields["objective_at_truth"]) + 1e-15)
+
+    def test_overflowing_objective_at_truth_is_numerical_failure(self, capsys):
+        """At sigma 1e154 brute force finishes in its frame, but the residual
+        at the truth overflows in the caller's units: exit 2, one line, no
+        inf printed and no numpy warning (warnings are errors here)."""
+        assert run("bruteforce", "--n", 8, "--sigma", "1e154", "--seed", 0) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: objective overflows in the units of the inputs\n")
 
     def test_limit_enforced(self, capsys):
         assert run("bruteforce", "--n", 10) == 1

@@ -9,12 +9,13 @@ point."""
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -39,7 +40,7 @@ from tlsperm.model import (
     rotation_2d,
     stream,
 )
-from tlsperm.tls import TlsFit, tls_fit, tls_objective
+from tlsperm.tls import TlsFit, _framed_pair, tls_fit, tls_objective
 
 from oracles import block_design
 
@@ -112,11 +113,11 @@ class TestBruteForce:
             brute_force_tls(np.ones((10, 1)), np.ones((10, 1)))
 
     def test_scores_every_permutation_once_in_order(self, monkeypatch):
-        """One public tls_objective call per permutation, in
-        itertools.permutations order; the returned perm owns its buffer."""
+        """One public tls_objective call per permutation of the framed rows,
+        in itertools.permutations order; the returned perm owns its buffer."""
         _, _, y1, y2 = noisy_instance(7, sigma=0.3, seed=74)
         expected = brute_force_tls(y1, y2)
-        row_of = {v: i for i, v in enumerate(y1[:, 0])}
+        row_of = {v: i for i, v in enumerate(_framed_pair(y1, y2)[0][:, 0])}
         scored = []
         real_objective = estimators.tls_objective
 
@@ -385,37 +386,71 @@ class TestExactMinimiserIsAltaFixedPoint:
             assert from_identity.best_objective >= exact.best_objective * (1 - 1e-12), kind
 
 
-class TestOverflow:
-    """Inputs so large that squares overflow are a numerical failure of the
-    data, not a caller error: at a common scale of 1e154 the cost matrix
-    overflows, at 1e200 the rank-p objective does too."""
+OVERFLOW = "^objective overflows in the units of the inputs$"
 
-    @pytest.mark.parametrize("scale", [1e154, 1e200])
+
+class TestOverflow:
+    """The estimators work in a power-of-two frame, so a large common scale
+    changes only the units of the objectives: at 2^510 the estimate is the
+    scale-1 estimate. At 1e200 the objective does not fit in a float, and that
+    is a numerical failure of the data, not a caller error, with no numpy
+    warning first (warnings are errors here)."""
+
+    @staticmethod
+    def solve(estimator: str, y1, y2):
+        if estimator == "brute":
+            return brute_force_tls(y1, y2)
+        if estimator == "aloa":
+            return aloa(y1, y2)
+        return alta(y1, y2, kind=estimator)
+
+    @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa", "brute"])
+    def test_large_common_scale_leaves_the_estimate_unchanged(self, estimator):
+        _, _, y1, y2 = noisy_instance(7 if estimator == "brute" else 12, sigma=0.1, seed=97)
+        ref = self.solve(estimator, y1, y2)
+        res = self.solve(estimator, np.ldexp(y1, 510), np.ldexp(y2, 510))
+        assert np.array_equal(res.perm, ref.perm)
+        assert (res.iterations, res.converged, res.failure) == (
+            ref.iterations, ref.converged, ref.failure)
+        assert res.objective_trace == [math.ldexp(v, 1020) for v in ref.objective_trace]
+
+    @pytest.mark.parametrize("scale", [1e200])
     @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa"])
     def test_iterative_estimators_raise_numerical_failure(self, estimator, scale):
         _, _, y1, y2 = noisy_instance(12, sigma=0.1, seed=97)
-        with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
-            if estimator == "aloa":
-                aloa(y1 * scale, y2 * scale)
-            else:
-                alta(y1 * scale, y2 * scale, kind=estimator)
+        with pytest.raises(NumericalFailure, match=OVERFLOW):
+            self.solve(estimator, y1 * scale, y2 * scale)
 
     def test_brute_force_raises_numerical_failure(self):
         _, _, y1, y2 = noisy_instance(7, sigma=0.1, seed=97)
-        with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match=OVERFLOW):
             brute_force_tls(y1 * 1e200, y2 * 1e200)
 
     @pytest.mark.parametrize("estimator", [*COST_KINDS, "aloa"])
-    def test_overflowing_cost_matrix_is_reported_as_overflow(self, estimator):
-        """At 1e154 the objective is finite but the cost matrix is not:
-        solve_lap's own scan rejects it, and the engine reports the overflow,
-        not the caller error solve_lap raised."""
+    def test_overflowing_cost_matrix_is_reported_as_overflow(self, estimator, monkeypatch):
+        """A cost with a non-finite entry (a y1 far below y2 overflows r_hat)
+        is rejected by solve_lap's own scan, and the engine reports the
+        overflow, not the caller error solve_lap raised."""
         _, _, y1, y2 = noisy_instance(12, sigma=0.1, seed=97)
-        with np.errstate(all="ignore"), pytest.raises(NumericalFailure) as err:
-            if estimator == "aloa":
-                aloa(y1 * 1e154, y2 * 1e154)
-            else:
-                alta(y1 * 1e154, y2 * 1e154, kind=estimator)
+        solve = estimators.solve_lap
+
+        def overflowing(cost):
+            cost = cost.copy()
+            cost[0, 0] = np.inf
+            return solve(cost)
+
+        monkeypatch.setattr(estimators, "solve_lap", overflowing)
+        with pytest.raises(NumericalFailure) as err:
+            self.solve(estimator, y1, y2)
+        assert str(err.value) == "cost matrix is not finite; the inputs may overflow"
+
+    def test_y1_far_below_y2_is_reported_as_overflow(self):
+        """A y1 some 2^1030 below y2 is subnormal in the frame: aloa's
+        least-squares r_hat overflows, and so does the cost built from it.
+        numpy warns on the way; the frame does not remove a relative scale."""
+        _, _, y1, y2 = noisy_instance(12, sigma=0.1, seed=97)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure) as err:
+            aloa(np.ldexp(y1, -1030), y2)
         assert str(err.value) == "cost matrix is not finite; the inputs may overflow"
 
 
@@ -523,15 +558,45 @@ class TestSymmetries:
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_common_scale_leaves_the_estimate_unchanged(self, estimator):
+        # below about 1e-154 the objective underflows in the caller's units;
+        # the estimate does not change
         for seed in range(400, 404):
             y1, y2, init = self.instance(estimator, seed)
             ref = self.solve(estimator, y1, y2, init)
-            for scale in (1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150):
+            for scale in (1e-300, 1e-250, 1e-200, 1e-150, 1e-100, 1e-50,
+                          1e50, 1e100, 1e150, 1e152):
                 res = self.solve(estimator, y1 * scale, y2 * scale, init)
                 assert np.array_equal(res.perm, ref.perm), scale
                 assert res.iterations == ref.iterations, scale
-                assert res.best_objective / scale**2 == pytest.approx(
-                    ref.best_objective, rel=1e-9), scale
+                assert res.best_objective == pytest.approx(
+                    ref.best_objective * scale * scale, rel=1e-9, abs=1e-320), scale
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000))
+    @example(seed=5, k=-560)
+    @example(seed=5, k=510)
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_scale_is_exact(self, estimator, seed, k):
+        """Rescaling y1 and y2 by 2^k leaves the run unchanged and multiplies
+        every objective by exactly 2^2k, or raises NumericalFailure when one
+        of them does not fit in a float."""
+        y1, y2, init = self.instance(estimator, seed)
+        s1, s2 = np.ldexp(y1, k), np.ldexp(y2, k)
+        assume(np.array_equal(np.ldexp(s1, -k), y1) and np.array_equal(np.ldexp(s2, -k), y2))
+        ref = self.solve(estimator, y1, y2, init)
+        try:
+            expected = [math.ldexp(v, 2 * k) for v in (
+                ref.best_objective, *ref.objective_trace, *(ref.ols_residual_trace or ()))]
+        except OverflowError:
+            with pytest.raises(NumericalFailure, match=OVERFLOW):
+                self.solve(estimator, s1, s2, init)
+            return
+        res = self.solve(estimator, s1, s2, init)
+        assert np.array_equal(res.perm, ref.perm)
+        assert (res.iterations, res.converged, res.failure) == (
+            ref.iterations, ref.converged, ref.failure)
+        assert [res.best_objective, *res.objective_trace,
+                *(res.ols_residual_trace or ())] == expected
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_orthogonal_column_mixing_leaves_the_estimate_unchanged(self, estimator):

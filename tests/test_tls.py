@@ -6,6 +6,7 @@ validation route an input takes."""
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -86,6 +87,21 @@ class TestObjective:
         perm = random_permutation(8, rng)
         assert tls_objective(y2[perm], y1[perm]) == pytest.approx(
             tls_objective(y2, y1), rel=1e-9)
+
+    def test_overflowing_residual_is_a_numerical_failure(self):
+        """Past 2^480 the stack is scored in the power-of-two frame: at 2^500
+        the residual is the scale-1 one times exactly 2^1000, and at 1e200 it
+        does not fit in a float, a NumericalFailure on every input route with
+        no warning first (warnings are errors here)."""
+        rng = stream(35)
+        y2 = rng.standard_normal((8, 2))
+        y1 = rng.standard_normal((8, 2))
+        assert tls_objective(np.ldexp(y2, 500), np.ldexp(y1, 500)) == math.ldexp(
+            tls_objective(y2, y1), 1000)
+        for big2, big1 in ((y2 * 1e200, y1 * 1e200), ((y2 * 1e200).tolist(), y1 * 1e200)):
+            with pytest.raises(NumericalFailure,
+                               match="^objective overflows in the units of the inputs$"):
+                tls_objective(big2, big1)
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(ContractViolation):
