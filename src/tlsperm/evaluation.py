@@ -49,7 +49,7 @@ def procrustes_loss(x, pi_star, pi_hat) -> float:
 
     (1/||x||_F^2) min over orthogonal q of ||x[pi_star] - x[pi_hat] q||_F^2.
     Zero whenever the misassignment is absorbable by an orthogonal map, even
-    if the permutations differ.
+    if the permutations differ, and exactly zero when they are equal.
     """
     mat = as_matrix(x, "design")
     n = mat.shape[0]
@@ -61,6 +61,8 @@ def _procrustes_loss(mat: np.ndarray, star: np.ndarray, hat: np.ndarray) -> floa
     denom = float(np.linalg.norm(mat)) ** 2
     if denom <= 0.0:
         raise ContractViolation("design must be nonzero")
+    if np.array_equal(star, hat):  # q = I aligns exactly; a fitted q is only near I
+        return 0.0
     _, raw = _orthogonal_procrustes(mat[star], mat[hat])
     return raw / denom
 

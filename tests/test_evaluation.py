@@ -41,6 +41,17 @@ class TestMetrics:
         assert quadratic_loss(x, pi, pi) == 0.0
         assert procrustes_loss(x, pi, pi) <= 1e-15
 
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_procrustes_loss_is_exactly_zero_at_the_truth(self, seed, p):
+        """Equal permutations need no rotation: the loss is 0.0, not the
+        rounding dust of a fitted q that is only near the identity."""
+        rng = stream(seed)
+        n = 2 * p + 4
+        x = generate_design(n, p, rng)
+        pi = random_permutation(n, rng)
+        assert procrustes_loss(x, pi, pi) == 0.0
+
     def test_block_swap_hand_values(self):
         # swapping the groups moves every row by sqrt(2), but the move is a
         # coordinate exchange, so an orthogonal map absorbs it entirely
