@@ -183,13 +183,11 @@ def _alternate(m1, pi, e, fit, cost) -> tuple[EstimateResult, list[float]]:
     at most STALL_TOL (relative), after MAX_ITER fits, or on a degenerate fit,
     which sets the failure marker.
 
-    In the frame every entry is below 1, so every rank-p objective is at most
-    2pn. The costs are squared distances that the same stack bounds while
-    r_hat is moderate; c4's exact value lies in [0, 2p], as r_hat r_hat.T + I
-    >= I. The rank rule, relative to x_hat alone, does not bound r_hat, though:
-    a y1 about 2^512 below y2 overflows c4's expansion, which squares r_hat,
-    and one about 2^1024 below overflows r_hat itself. solve_lap rejects the
-    non-finite cost that results, reported here as NumericalFailure.
+    In the frame every entry is below 1, so every objective is at most 2pn,
+    and the costs are bounded by the same stack while r_hat is moderate. The
+    rank rule, relative to x_hat alone, does not bound r_hat: a y1 some 2^512
+    below y2 overflows c4's expansion, which squares r_hat, and 2^1024 below
+    overflows r_hat itself. So a non-finite cost stays a NumericalFailure.
     """
     perms: list[np.ndarray] = []
     scores: list[float] = []

@@ -9,6 +9,10 @@ estimator in this package minimizes over row alignments.
 and evaluation; alta's fitted iterates take theirs from ``_fit``'s SVD. It
 checks a float64 pair by one finiteness pass over the stack it scores, and any
 other input, like ``tls_fit``'s, by ``_observation_pair`` first.
+
+The estimators' power-of-two frame lives here too: ``_framed_pair`` rescales a
+validated pair, and ``_unscaled``, the one rule for an objective that
+overflows, returns an objective to the caller's units.
 """
 from __future__ import annotations
 
@@ -37,11 +41,10 @@ def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
 
 def _framed_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
     """_observation_pair(y1, y2) divided by the power of two 2^k that puts the
-    largest magnitude of either matrix in [0.5, 1) (k = 0 for a zero pair).
-    Returns (m1, m2, n, e) with e = 2k: an objective of the framed pair times
-    2^e, by _unscaled, is the objective in the caller's units. The division is
-    exact for every entry within 2^1021 of the largest, so every relative rule
-    and comparison decides as it would unscaled."""
+    largest magnitude of either in [0.5, 1); k = 0 for a zero pair. Returns
+    (m1, m2, n, e = 2k); _unscaled(objective, e) is in the caller's units. The
+    division is exact for entries within 2^1021 of the largest, so relative
+    rules and comparisons decide as they would unscaled."""
     m1, m2, n, _ = _observation_pair(y1, y2)
     k = math.frexp(max(_lange("M", m1.T), _lange("M", m2.T)))[1]
     return np.ldexp(m1, -k), np.ldexp(m2, -k), n, 2 * k
@@ -60,12 +63,11 @@ def tls_objective(y2, y1p) -> float:
 
     Two float64 ndarrays (exact type and dtype) of one 2-D shape with
     n >= 2p >= 2 go straight to the stack; anything else is checked by
-    _observation_pair first. A stack whose largest magnitude is not finite, or
-    is large enough that squares may overflow, is scored in the frame of
-    _framed_pair, which raises the named error on a non-finite entry; a
-    residual that overflows in the caller's units raises NumericalFailure.
-    Any other stack is scored by linalg._singular_values as it is. Callers:
-    brute_force_tls, aloa, alta, cli, evaluation.
+    _observation_pair first. A stack with a non-finite entry or one above
+    2^480 is rescored in the frame of _framed_pair, which raises the named
+    error on the first and, through _unscaled, NumericalFailure when the
+    residual overflows; any other is scored by linalg._singular_values.
+    Callers: brute_force_tls, aloa, alta, cli, evaluation.
     """
     if not (type(y2) is np.ndarray and type(y1p) is np.ndarray
             and y2.dtype is _FLOAT64 and y1p.dtype is _FLOAT64
@@ -74,9 +76,9 @@ def tls_objective(y2, y1p) -> float:
         y1p, y2, _, _ = _observation_pair(y1p, y2)
     stack = np.concatenate((y2, y1p), axis=1)
     # dlange's largest magnitude propagates NaN; a C-ordered stack is read in
-    # place as its Fortran-ordered transpose. At most 2^480, the squared
-    # Frobenius norm of any array numpy can hold (at most 2^60 entries), which
-    # bounds the residual, is below 2^1020.
+    # place as its Fortran-ordered transpose. Up to 2^480 the squared norm of
+    # any array numpy can hold (2^60 entries at most), which bounds the
+    # residual, stays below 2^1020.
     if not _lange("M", stack.T) <= 2.0 ** 480:
         y1p, y2, _, e = _framed_pair(y1p, y2)
         return _unscaled(tls_objective(y2, y1p), e)
