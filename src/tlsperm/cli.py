@@ -21,14 +21,14 @@ import os
 import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolation, NumericalFailure
-from .estimators import BRUTE_FORCE_LIMIT, COST_KINDS, EstimateResult, alta, aloa, brute_force_tls
+from .estimators import (BRUTE_FORCE_LIMIT, COST_KINDS, EstimateResult, _bind_cdist, alta, aloa,
+                         brute_force_tls)
 from .evaluation import (
     _hamming_distance,
     _procrustes_loss,
@@ -41,6 +41,7 @@ from .evaluation import (
     recovery_bound,
     trace_max_check,
 )
+from .lap import _bind_assignment
 from .matio import format_float, read_matrix, read_permutation, write_matrix, write_permutation
 from .model import (
     ProblemInstance,
@@ -229,10 +230,8 @@ def _run_single_trial(cfg: ExperimentConfig, gi: int, ti: int,
             outcome = {"objective": result.best_objective, "iterations": result.iterations,
                        "converged": result.converged, "failed": result.failure or ""}
         except NumericalFailure as exc:
-            perm = objective = None  # no estimate: its loss cells stay empty
-            with suppress(NumericalFailure):  # the start's objective may overflow too
-                objective = tls_objective(obs.y2, obs.y1[init])
-            outcome = {"objective": objective, "iterations": 0, "converged": False,
+            perm = None  # no estimate: its objective and loss cells stay empty
+            outcome = {"objective": None, "iterations": 0, "converged": False,
                        "failed": exc.__class__.__name__.lower()}
         wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append({
@@ -257,7 +256,13 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     all are done or one has raised. A trial's exception, or an interrupt,
     cancels the trials that have not started; results are read in task order,
     so the first failing trial in that order raises.
+
+    A sweep that assigns binds scipy's assignment and cdist before its first
+    trial, so no trial's wall_ms counts loading them.
     """
+    if set(cfg.estimators) != {"brute"}:
+        _bind_assignment()
+        _bind_cdist()
     tasks = [(gi, ti, *point) for gi, point in enumerate(cfg.points) for ti in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         futures = [pool.submit(_run_single_trial, cfg, *t) for t in tasks]

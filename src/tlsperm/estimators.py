@@ -24,9 +24,10 @@ does not fit in the caller's units is the one overflow, a NumericalFailure.
 Inputs are validated once, by the public functions. The engine and the private
 kernels (``_cost``, ``tls._fit``) take arrays that are already validated;
 ``tls_objective`` checks a float64 pair in one pass over the stack it scores,
-other input by ``_observation_pair`` first. ``solve_lap``'s scan is the only
-scan of a cost: every engine cost is a square float64 matrix, so a rejection
-there means a non-finite entry, raised as NumericalFailure.
+other input by ``_observation_pair`` first. ``solve_lap``'s scan never rejects
+an engine cost: every one is a square float64 matrix, finite by construction,
+since in the frame every entry is below 1, alta's fits pass a rank rule that
+bounds r_hat (see ``tls._fit``), and aloa's fits are projections of y2.
 
 Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
 and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so
@@ -45,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateFit, NumericalFailure, RankDeficient
+from .errors import ContractViolation, DegenerateFit, RankDeficient
 from .lap import solve_lap
-from .linalg import _rank_deficient, _singular_values, _solve, as_matrix
+from .linalg import _rank_deficient, _solve, _svd_factors, as_matrix
 from .model import as_permutation, identity_permutation
 from .tls import TlsFit, _fit, _framed_pair, _observation_pair, _unscaled, tls_objective
 
@@ -150,11 +151,15 @@ def _cost(kind: str, x_hat: np.ndarray, r_hat: np.ndarray,
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and b, by scipy's
-    cdist, which is imported on the first call and bound once."""
+    cdist, which the first call binds."""
+    return (_cdist or _bind_cdist())(a, b, "sqeuclidean")
+
+
+def _bind_cdist():
+    """Import scipy's cdist, bind it and return it; binding again is a no-op."""
     global _cdist
-    if _cdist is None:
-        from scipy.spatial.distance import cdist as _cdist
-    return _cdist(a, b, "sqeuclidean")
+    from scipy.spatial.distance import cdist as _cdist
+    return _cdist
 
 
 def _check_kind(kind: str) -> None:
@@ -175,19 +180,13 @@ def _alternate(m1, pi, e, fit, cost) -> tuple[EstimateResult, list[float]]:
     return the result and the trace of the selection metric, both scaled back
     to the caller's units by 2^e.
 
-    fit(y1p) gives (selection metric, rank-p objective, model) at the aligned
-    y1p = m1[pi], the model None when the fit is degenerate; cost(model, y1p)
-    gives the assignment cost, whose assignment a makes pi[a] the next
-    permutation. Each step descends, so an assignment can only revisit the
-    current permutation. Stops at that fixed point, when the metric improves by
-    at most STALL_TOL (relative), after MAX_ITER fits, or on a degenerate fit,
-    which sets the failure marker.
-
-    In the frame every entry is below 1, so every objective is at most 2pn,
-    and the costs are bounded by the same stack while r_hat is moderate. The
-    rank rule, relative to x_hat alone, does not bound r_hat: a y1 some 2^512
-    below y2 overflows c4's expansion, which squares r_hat, and 2^1024 below
-    overflows r_hat itself. So a non-finite cost stays a NumericalFailure.
+    fit(pi, y1p) gives (selection metric, rank-p objective, model) at the
+    aligned y1p = m1[pi], the model None when the fit is degenerate;
+    cost(model, y1p) gives the assignment cost, whose assignment a makes pi[a]
+    the next permutation. Each step descends, so an assignment can only
+    revisit the current permutation. Stops at that fixed point, when the
+    metric improves by at most STALL_TOL (relative), after MAX_ITER fits, or
+    on a degenerate fit, which sets the failure marker.
     """
     perms: list[np.ndarray] = []
     scores: list[float] = []
@@ -197,7 +196,7 @@ def _alternate(m1, pi, e, fit, cost) -> tuple[EstimateResult, list[float]]:
     for it in range(MAX_ITER):
         perms.append(pi)
         y1p = m1[pi]
-        score, objective, model = fit(y1p)
+        score, objective, model = fit(pi, y1p)
         scores.append(score)
         objectives.append(objective)
         if model is None:
@@ -206,11 +205,7 @@ def _alternate(m1, pi, e, fit, cost) -> tuple[EstimateResult, list[float]]:
         if it > 0 and scores[-2] - scores[-1] <= STALL_TOL * abs(scores[-2]):
             converged = True
             break
-        try:
-            assignment, _ = solve_lap(cost(model, y1p))
-        except ContractViolation:
-            raise NumericalFailure(
-                "cost matrix is not finite; the inputs may overflow") from None
+        assignment, _ = solve_lap(cost(model, y1p))
         pi_next = pi[assignment]
         if (pi_next == pi).all():
             converged = True
@@ -235,7 +230,7 @@ def alta(y1, y2, kind: str = "c3", init=None) -> EstimateResult:
     _check_kind(kind)
     m1, m2, pi, e = _start(y1, y2, init)
 
-    def fit(y1p):
+    def fit(pi, y1p):
         try:
             f = _fit(m2, y1p)
         except DegenerateFit:
@@ -256,18 +251,24 @@ def aloa(y1, y2, init=None) -> EstimateResult:
     assignment cost is ||y2[i] - (y1[pi] r)[j]||^2. Selection and stopping
     use the least-squares residual; the rank-p objective is recorded alongside
     for comparison with the other estimators.
+
+    y1 is factored once, y1 = U S V.T in the frame. U[pi] spans the columns
+    of y1[pi] with orthonormal columns, so the least-squares fit y1[pi] r is
+    the projection U[pi] (U[pi].T y2), no larger than y2, and r itself is
+    never formed.
     """
     m1, m2, pi, e = _start(y1, y2, init)
-    if _rank_deficient(_singular_values(m1)):
+    u1, s1, _ = _svd_factors(m1)
+    if _rank_deficient(s1):
         raise RankDeficient("y1 must have full column rank for the least-squares route")
 
-    def fit(y1p):
-        r_hat, *_ = np.linalg.lstsq(y1p, m2, rcond=None)
-        residual = float(np.linalg.norm(y1p @ r_hat - m2) ** 2)
-        return residual, tls_objective(m2, y1p), r_hat
+    def fit(pi, y1p):
+        fitted = u1[pi] @ (u1[pi].T @ m2)
+        residual = float(np.linalg.norm(fitted - m2) ** 2)
+        return residual, tls_objective(m2, y1p), fitted
 
-    def cost(r_hat: np.ndarray, y1p: np.ndarray) -> np.ndarray:
-        return _sqdist(m2, y1p @ r_hat)
+    def cost(fitted: np.ndarray, y1p: np.ndarray) -> np.ndarray:
+        return _sqdist(m2, fitted)
 
     result, residuals = _alternate(m1, pi, e, fit, cost)
     result.ols_residual_trace = residuals

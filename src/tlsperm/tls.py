@@ -102,8 +102,8 @@ def tls_fit(y2, y1p) -> TlsFit:
     The rank-p truncation of [y2 | y1p] splits by columns into a denoised y2
     block and a denoised y1p block (x_hat). r_hat solves the exactly
     consistent system x_hat @ r = denoised y2; no inverse is formed. Raises
-    DegenerateFit when x_hat is numerically rank deficient, which callers
-    treat as a failed iterate.
+    DegenerateFit when x_hat is numerically rank deficient relative to the
+    stack (see _fit), which callers treat as a failed iterate.
     """
     m1, m2, _, _ = _observation_pair(y1p, y2)
     return _fit(m2, m1)
@@ -125,6 +125,12 @@ def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
     negation is exact, each product in x_hat meets the sign twice, and the LU
     factorization of D B.T picks the same pivots as that of B.T, carrying row
     k's sign through to row k of the right-hand side, where it cancels.
+
+    The rank rule judges x_hat's smallest singular value against the stack's
+    largest, s[0], and that bounds r_hat: sigma_min(x_hat) <= s[0] *
+    sigma_min(B), so a fit that passes has sigma_min(B) > 1e-10, and as
+    ||A|| <= 1, ||r_hat|| < 1e10. In the estimators' frame every entry of the
+    pair is below 1, so every cost built from such a fit is finite.
     """
     p = m2.shape[1]
     u, s, v = _svd_factors(np.concatenate((m2, m1p), axis=1))
@@ -132,7 +138,7 @@ def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
     objective = float(np.add.reduce(tail * tail))
     a, b = v[:p, :p], v[p:, :p]
     x_hat = (u[:, :p] * s[:p]) @ b.T
-    if _rank_deficient(_singular_values(s[:p, None] * b.T)):
+    if _rank_deficient((s[0], _singular_values(s[:p, None] * b.T)[-1])):
         raise DegenerateFit("denoised design is numerically rank deficient")
     r_hat = _solve(b.T, a.T)
     return TlsFit(x_hat=x_hat, r_hat=r_hat, objective=objective)

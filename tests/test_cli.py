@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlsperm import cli, model
+from tlsperm import cli, estimators, lap, model
 from tlsperm.cli import main
 from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.estimators import alta
@@ -332,8 +332,8 @@ class TestSweep:
         """sigma = 1e154 is a valid noise level whose observations overflow
         every residual in the caller's units: alta and aloa fail, and each
         failure is a record with empty loss cells and an empty objective,
-        since the objective at the initial permutation overflows too; brute
-        force still finishes."""
+        since a failed trial has no estimate to score; brute force still
+        finishes."""
         out = tmp_path / "huge.csv"
         assert run("sweep", "--sweep", "noise", "--grid", "1e154", "--n", 8, "--trials", 2,
                    "--estimator", "alta,aloa,brute", "--out", out) == 0
@@ -355,6 +355,27 @@ class TestSweep:
         failures = {row["estimator"]: row["failures"]
                     for row in (dict(zip(columns, line.split(","))) for line in summary[2:])}
         assert failures == {"aloa": "2", "alta_c3": "2", "brute": "0"}
+
+    def test_scipy_is_bound_before_the_first_trial(self, tmp_path, capsys, monkeypatch):
+        """A sweep that assigns binds scipy's assignment and cdist before its
+        first trial, so no trial's wall_ms counts loading them; a brute-only
+        sweep binds neither."""
+        seen = []
+        trial = cli._run_single_trial
+
+        def watched(*args):
+            seen.append((lap._linear_sum_assignment is not None, estimators._cdist is not None))
+            return trial(*args)
+
+        monkeypatch.setattr(cli, "_run_single_trial", watched)
+        for estimator, bound in (("brute", False), ("alta,aloa", True)):
+            monkeypatch.setattr(lap, "_linear_sum_assignment", None)
+            monkeypatch.setattr(estimators, "_cdist", None)
+            seen.clear()
+            assert run("sweep", "--sweep", "noise", "--grid", "0.1", "--n", 6, "--trials", 2,
+                       "--estimator", estimator, "--out", tmp_path / "r.csv") == 0
+            assert seen == [(bound, bound)] * 2
+        capsys.readouterr()
 
     def test_failed_trials_are_left_out_of_the_losses(self, tmp_path, capsys, monkeypatch):
         """aloa fails every trial and alta_c3 its first: their loss cells stay
@@ -800,8 +821,9 @@ assert loaded() == list(LAZY), loaded()
         assert proc.stdout.split("== alta\n", 1)[1] == capsys.readouterr().out
 
     def test_first_assignment_on_two_threads_matches_serial(self, tmp_path):
-        """The first assignment and cost build of the process race on two
-        pool threads; records and summary match a fresh serial run."""
+        """A fresh process's first sweep binds scipy before its trials, then
+        runs them on two pool threads; records and summary match a fresh
+        serial run."""
         main_only = ("import sys; from tlsperm.cli import main; "
                      "assert 'scipy.optimize' not in sys.modules; "
                      "sys.exit(main(sys.argv[1:]))")

@@ -156,6 +156,17 @@ class TestFit:
         with pytest.raises(DegenerateFit):
             tls_fit(y2, np.zeros((6, 2)))
 
+    def test_rank_rule_is_relative_to_the_stack(self):
+        """x_hat's smallest singular value is judged against the stack's
+        largest, which bounds r_hat below 1e10: y1p = y2 * 2^-30 fits with
+        r_hat near 2^30 I, and y1p = y2 * 2^-40 is degenerate, though x_hat
+        is well conditioned on its own."""
+        y2 = stream(43).standard_normal((12, 2))
+        fit = tls_fit(y2, np.ldexp(y2, -30))
+        assert np.linalg.norm(fit.r_hat, 2) < 1e10
+        with pytest.raises(DegenerateFit):
+            tls_fit(y2, np.ldexp(y2, -40))
+
     def test_mixing_estimate_reasonable_under_mild_noise(self):
         rng = stream(40)
         x = generate_design(200, 2, rng)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -195,6 +196,14 @@ def matrix_file(rows, exponent: int) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def power_of_two_file(rows, k: int) -> bytes:
+    """A matrix CSV of small integers times 2**k, written exactly (repr
+    round-trips every float, subnormals included)."""
+    lines = [f"{len(rows)},{len(rows[0])}"]
+    lines += [",".join(repr(math.ldexp(v, k)) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
 # A 7 x 2 pair of small integers, written at a chosen power of ten.
 PAIR_Y1 = [(3, 1), (-2, 4), (5, -1), (1, 2), (-4, -3), (2, 5), (0, -2)]
 PAIR_Y2 = [(1, -3), (4, 2), (-2, 5), (3, 3), (-1, -4), (5, 0), (2, -2)]
@@ -253,6 +262,22 @@ for _est in ("alta", "aloa"):
     COMMANDS[f"rank1-y1-{_est}"] = [[
         "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est]]
     INPUTS[f"rank1-y1-{_est}"] = RANK1
+# y1 scaled alone, a relative scale the estimators' frame keeps: a column
+# proportional to y2 at 1e-200 (alta's first fit is degenerate, so c4 builds no
+# cost from r_hat near 1e200), 2^1030 below y2 (subnormal in the frame; aloa
+# fits by projection), and 2^40 below (x_hat is about 1e-12 of the stack, so
+# alta's rank rule stops it)
+COLUMN = [row[:1] for row in PAIR_Y2]
+RELATIVE = {
+    "c4-1e-200": ("alta:c4", matrix_file(COLUMN, -200), matrix_file(COLUMN, 0)),
+    "aloa-2e-1030": ("aloa", power_of_two_file(PAIR_Y1, -1030), matrix_file(PAIR_Y2, 0)),
+    "c3-2e-40": ("alta:c3", power_of_two_file(PAIR_Y1, -40), matrix_file(PAIR_Y2, 0)),
+}
+for _name, (_est, _y1, _y2) in RELATIVE.items():
+    COMMANDS[f"relative-{_name}"] = [[
+        "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est,
+        "--out", "perm.txt"]]
+    INPUTS[f"relative-{_name}"] = {"y1.csv": _y1, "y2.csv": _y2}
 for _i, _argv in enumerate(USAGE_ERRORS):
     _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
     COMMANDS[f"usage-{_i:02d}-{_argv[0]}"] = [_argv + _out]
