@@ -262,7 +262,7 @@ for _est in ("alta", "aloa"):
     COMMANDS[f"rank1-y1-{_est}"] = [[
         "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est]]
     INPUTS[f"rank1-y1-{_est}"] = RANK1
-# y1 scaled alone, a relative scale the estimators' frame keeps: a column
+# y1 scaled alone (1pK names 2^K), a relative scale the frame keeps: a column
 # proportional to y2 at 1e-200 (alta's first fit is degenerate, so c4 builds no
 # cost from r_hat near 1e200), 2^1030 below y2 (subnormal in the frame; aloa
 # fits by projection), and 2^40 below (x_hat is about 1e-12 of the stack, so
@@ -270,8 +270,8 @@ for _est in ("alta", "aloa"):
 COLUMN = [row[:1] for row in PAIR_Y2]
 RELATIVE = {
     "c4-1e-200": ("alta:c4", matrix_file(COLUMN, -200), matrix_file(COLUMN, 0)),
-    "aloa-2e-1030": ("aloa", power_of_two_file(PAIR_Y1, -1030), matrix_file(PAIR_Y2, 0)),
-    "c3-2e-40": ("alta:c3", power_of_two_file(PAIR_Y1, -40), matrix_file(PAIR_Y2, 0)),
+    "aloa-1p-1030": ("aloa", power_of_two_file(PAIR_Y1, -1030), matrix_file(PAIR_Y2, 0)),
+    "c3-1p-40": ("alta:c3", power_of_two_file(PAIR_Y1, -40), matrix_file(PAIR_Y2, 0)),
 }
 for _name, (_est, _y1, _y2) in RELATIVE.items():
     COMMANDS[f"relative-{_name}"] = [[
