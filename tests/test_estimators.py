@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import linear_sum_assignment, minimize
 
 from tlsperm import estimators, linalg, model
 from tlsperm.errors import ContractViolation, NumericalFailure, RankDeficient
@@ -500,6 +500,41 @@ class TestValidationAtBoundary:
         assert short_iters == 1 and long_iters >= 4
         assert sum(short.values()) > 0
         assert long == short
+
+
+class TestScipyAssignmentReplay:
+    """On noisy data no two assignments tie exactly, so every run must be the
+    one scipy's assignment of the engine's own, unreduced cost gives: the same
+    permutation, bit-identical traces, iteration count, stop and failure."""
+
+    @staticmethod
+    def raw_lap(cost):
+        rows, cols = linear_sum_assignment(cost)
+        return cols.astype(np.intp), float(cost[rows, cols].sum())
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [12, 60, 300])
+    def test_matches_scipy_on_the_unreduced_cost(self, monkeypatch, n, sigma):
+        rng = stream(131, n, int(sigma * 100))
+        inst = ProblemInstance(x=generate_design(n, 2, rng), r=rotation_2d(60.0),
+                               pi_star=random_permutation(n, rng),
+                               sigma=as_covariance(sigma, 2))
+        obs = generate_observations(inst, rng)
+        for estimator in [*COST_KINDS, "aloa"]:
+            runs = []
+            for lap in (solve_lap, self.raw_lap):
+                monkeypatch.setattr(estimators, "solve_lap", lap)
+                if estimator == "aloa":
+                    res = aloa(obs.y1, obs.y2)
+                else:
+                    res = alta(obs.y1, obs.y2, kind=estimator)
+                runs.append(res)
+            ours, ref = runs
+            assert np.array_equal(ours.perm, ref.perm), estimator
+            assert ours.objective_trace == ref.objective_trace, estimator
+            assert ours.ols_residual_trace == ref.ols_residual_trace, estimator
+            assert (ours.iterations, ours.converged, ours.failure) == (
+                ref.iterations, ref.converged, ref.failure), estimator
 
 
 class TestSymmetries:

@@ -1,13 +1,16 @@
 """Assignment solver against exhaustive enumeration, the only ground truth
-available at this size."""
+available at small sizes, and against scipy's assignment of the unreduced
+cost at the sizes the estimators use."""
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from tlsperm.errors import ContractViolation
 from tlsperm.lap import solve_lap
@@ -60,6 +63,39 @@ class TestSolveLap:
         assignment2, total2 = solve_lap(shifted)
         assert abs((total2 - 7.5) - total) <= 1e-9
         assert np.array_equal(np.sort(assignment2), np.arange(5))
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_matches_scipy_on_continuous_costs(self, n):
+        # no exact ties: the column reduction leaves scipy's unique optimum,
+        # and the total is summed from the caller's matrix
+        rng = stream(53, n)
+        for _ in range(5):
+            cost = rng.standard_normal((n, n)) * rng.uniform(0.1, 100.0, size=n)
+            rows, cols = linear_sum_assignment(cost)
+            assignment, total = solve_lap(cost)
+            assert np.array_equal(assignment, cols)
+            assert total == float(cost[rows, cols].sum())
+
+    def test_tied_small_integer_costs_reach_the_enumerated_minimum(self):
+        # many assignments tie here, and the one returned may differ from
+        # scipy's pick on the unreduced matrix; its total may not
+        rng = stream(54)
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            cost = rng.integers(0, 3, size=(n, n)).astype(float)
+            assignment, total = solve_lap(cost)
+            _, best_total = enumerate_lap(cost)
+            assert np.array_equal(np.sort(assignment), np.arange(n))
+            assert total == float(cost[np.arange(n), assignment].sum()) == best_total
+
+    def test_column_range_beyond_the_float_range_is_solved_as_given(self):
+        # the first column spans 2e308, so its reduction would overflow
+        cost = np.array([[1e308, 0.0, 1.0], [-1e308, 2.0, 0.0], [0.0, 1.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assignment, total = solve_lap(cost)
+        assert np.array_equal(assignment, [2, 0, 1])
+        assert total == -1e308
 
     def test_rejects_rectangular(self):
         with pytest.raises(ContractViolation):

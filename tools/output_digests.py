@@ -278,6 +278,20 @@ for _name, (_est, _y1, _y2) in RELATIVE.items():
         "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est,
         "--out", "perm.txt"]]
     INPUTS[f"relative-{_name}"] = {"y1.csv": _y1, "y2.csv": _y2}
+# a noiseless pair with every row of y1 twice, y2 = y1[pi] rotated by 90 degrees,
+# all small integers: swapping two equal rows ties exactly, so an assignment
+# has several optima and the estimate records which one the solver picks
+TIED_ROWS = PAIR_Y1[:6] * 2
+TIED_PI = [7, 2, 10, 0, 5, 11, 3, 8, 1, 6, 9, 4]
+TIES = {"y1.csv": matrix_file(TIED_ROWS, 0),
+        "y2.csv": matrix_file([(TIED_ROWS[i][1], -TIED_ROWS[i][0]) for i in TIED_PI], 0)}
+for _est in ALL_ALTA.split(","):
+    for _seed in ("1", "2"):
+        _name = f"ties-{_est.replace(':', '-')}-seed{_seed}"
+        COMMANDS[_name] = [[
+            "estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--estimator", _est,
+            "--init", "random", "--seed", _seed, "--out", "perm.txt"]]
+        INPUTS[_name] = TIES
 for _i, _argv in enumerate(USAGE_ERRORS):
     _out = ["--out", "records.csv"] if _argv[0] == "sweep" else []
     COMMANDS[f"usage-{_i:02d}-{_argv[0]}"] = [_argv + _out]
