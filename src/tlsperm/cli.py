@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,7 @@ from .evaluation import (
     _procrustes_loss,
     _quadratic_loss,
     eig_tail_rhs,
-    hamming_distance,
-    procrustes_loss,
     procrustes_residual_gap,
-    quadratic_loss,
     recovery_bound,
     trace_max_check,
 )
@@ -278,11 +276,13 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 
 def summarize(records: list[dict]) -> list[dict]:
-    """Per (grid point, estimator): loss means and quartiles over finished trials."""
+    """Per (grid point, estimator): loss means and quartiles over finished trials.
+
+    records come sorted by (grid_index, estimator), as run_sweep returns them,
+    so each group is one run of them and is read once."""
     rows = []
-    keys = sorted({(rec["grid_index"], rec["estimator"]) for rec in records})
-    for gi, label in keys:
-        grp = [rec for rec in records if rec["grid_index"] == gi and rec["estimator"] == label]
+    for (gi, label), grp in groupby(records, lambda rec: (rec["grid_index"], rec["estimator"])):
+        grp = list(grp)
         done = [rec for rec in grp if rec["procrustes_loss"] is not None]
         losses = np.array([rec["procrustes_loss"] for rec in done])
         stats = ([float(v) for v in (losses.mean(), *np.quantile(losses, [0.25, 0.5, 0.75]),
@@ -580,11 +580,14 @@ def _cmd_gen(args) -> int:
 
 
 def _report(x, pi_star, perm, out) -> None:
-    """Print perm's three losses when the truth is known; write perm to out if given."""
+    """Print perm's three losses when the truth is known; write perm to out if given.
+
+    x and pi_star are checked already, by read_matrix and read_permutation and
+    against y1's shape, or by generation; perm is an estimator's."""
     if x is not None and pi_star is not None:
-        print(f"procrustes_loss: {format_float(procrustes_loss(x, pi_star, perm))}")
-        print(f"quadratic_loss: {format_float(quadratic_loss(x, pi_star, perm))}")
-        print(f"hamming: {hamming_distance(pi_star, perm)}")
+        print(f"procrustes_loss: {format_float(_procrustes_loss(x, pi_star, perm))}")
+        print(f"quadratic_loss: {format_float(_quadratic_loss(x, pi_star, perm))}")
+        print(f"hamming: {_hamming_distance(pi_star, perm)}")
     if out:
         write_permutation(out, perm)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericalFailure
 from .linalg import as_matrix
 
 _linear_sum_assignment = None  # scipy.optimize.linear_sum_assignment, once bound
@@ -37,19 +37,22 @@ def solve_lap(cost) -> tuple[np.ndarray, float]:
     assignments are exactly optimal, the one returned may differ from the one
     scipy picks on the unreduced matrix; every pick is optimal. A finite cost
     whose column range exceeds the float range has no finite reduction, and
-    is solved as given, without a warning.
+    is solved as given, without a warning. An optimal total that overflows
+    the float range raises NumericalFailure, the package's one overflow rule.
     """
     c = as_matrix(cost, "cost matrix")
     if c.shape[0] != c.shape[1]:
         raise ContractViolation(f"cost matrix must be square, got {c.shape}")
-    try:
-        with np.errstate(over="raise"):
+    with np.errstate(over="raise"):
+        try:
             reduced = c - c.min(axis=0)
-    except FloatingPointError:
-        reduced = c
-    rows, cols = (_linear_sum_assignment or _bind_assignment())(reduced)
-    assignment = cols.astype(np.intp, copy=False)
-    return assignment, float(c[rows, cols].sum())
+        except FloatingPointError:
+            reduced = c
+        rows, cols = (_linear_sum_assignment or _bind_assignment())(reduced)
+        try:
+            return cols.astype(np.intp, copy=False), float(c[rows, cols].sum())
+        except FloatingPointError as exc:
+            raise NumericalFailure("assignment total overflows the float range") from exc
 
 
 def _bind_assignment():

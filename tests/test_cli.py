@@ -356,6 +356,50 @@ class TestSweep:
                     for row in (dict(zip(columns, line.split(","))) for line in summary[2:])}
         assert failures == {"aloa": "2", "alta_c3": "2", "brute": "0"}
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("grid", [], "grid must be nonempty"),
+        ("workers", 0, "workers must be >= 1"),
+        ("p", 0, "p must be >= 1"),
+    ])
+    def test_config_checks_its_sizes(self, name, value, message):
+        kwargs = dict(axis="noise", grid=[0.1], n=12, p=2, sigma=0.1, theta=60.0,
+                      trials=1, seed=0)
+        kwargs[name] = value
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            cli.ExperimentConfig(**kwargs)
+
+    def test_summary_reads_each_record_a_bounded_number_of_times(self):
+        """summarize reads sorted records in one pass: its key reads grow with
+        the record count, not with the record count times the group count."""
+        reads = 0
+
+        class Counting(dict):
+            def __getitem__(self, key):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(key)
+
+        # a sweep's sorted records: 12 grid points, 3 estimators, 4 trials;
+        # aloa fails every trial at odd grid points
+        records = []
+        for gi in range(12):
+            for label in ("aloa", "alta_c3", "brute"):
+                for ti in range(4):
+                    failed = label == "aloa" and gi % 2 == 1
+                    loss = None if failed else 0.1 * ti
+                    records.append(Counting(
+                        axis="noise", grid_index=gi, grid_value=0.1 * (gi + 1),
+                        estimator=label, trial=ti, procrustes_loss=loss,
+                        quadratic_loss=loss, hamming=None if failed else ti,
+                        objective=loss, iterations=0 if failed else 3, converged=not failed,
+                        failed="numericalfailure" if failed else "", wall_ms="0.100"))
+        rows = cli.summarize(records)
+        assert len(rows) == 36
+        assert [(row["grid_index"], row["estimator"]) for row in rows[:3]] == [
+            (0, "aloa"), (0, "alta_c3"), (0, "brute")]
+        assert (rows[3]["failures"], rows[3]["mean_procrustes"]) == (4, None)
+        assert reads <= 10 * len(records)
+
     def test_scipy_is_bound_before_the_first_trial(self, tmp_path, capsys, monkeypatch):
         """A sweep that assigns binds scipy's assignment and cdist before its
         first trial, so no trial's wall_ms counts loading them; a brute-only
@@ -768,6 +812,11 @@ class TestLemmaCommand:
         # the eigtail options are checked on every kind
         assert run("lemma", "--kind", "procrustes", "--trials", 3, "--n", -5) == 1
         assert run("lemma", "--kind", "tracemax", "--trials", 3, "--eps", -1, "--p", 0) == 1
+
+    @pytest.mark.parametrize("kind", ["bogus", "eigtails"])
+    def test_unknown_suite_kind_is_rejected(self, kind):
+        with pytest.raises(ContractViolation, match=f"^unknown suite kind '{kind}'$"):
+            cli.run_lemma_suite(kind, 1, 0)
 
 
 class TestReadme:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from tlsperm.errors import ContractViolation
+from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.lap import solve_lap
 from tlsperm.model import stream
 
@@ -96,6 +96,13 @@ class TestSolveLap:
             assignment, total = solve_lap(cost)
         assert np.array_equal(assignment, [2, 0, 1])
         assert total == -1e308
+
+    def test_overflowing_optimal_total_is_a_numerical_failure(self):
+        # every entry is finite, but the optimal total, -2e308, is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="^assignment total overflows"):
+                solve_lap(np.array([[1e308, -1e308], [-1e308, 1e308]]))
 
     def test_rejects_rectangular(self):
         with pytest.raises(ContractViolation):

@@ -66,6 +66,11 @@ class TestPermutations:
         p = random_permutation(30, stream(1))
         as_permutation(p, 30)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_permutation_rejects_size_below_one(self, n):
+        with pytest.raises(ContractViolation, match=r"^random_permutation needs n >= 1$"):
+            random_permutation(n, stream(1))
+
 
 class TestPartialShuffle:
     def test_suffix_fixed_prefix_permuted(self):
@@ -138,6 +143,11 @@ class TestMixing:
     def test_random_orthogonal_is_orthogonal(self):
         q = random_orthogonal(5, stream(9))
         assert np.allclose(q.T @ q, np.eye(5), atol=1e-12)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_random_orthogonal_rejects_dimension_below_one(self, p):
+        with pytest.raises(ContractViolation, match=r"^random_orthogonal needs p >= 1$"):
+            random_orthogonal(p, stream(9))
 
 
 class TestCovarianceAndNoise:

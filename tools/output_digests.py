@@ -52,6 +52,10 @@ SWEEPS = {
     # become records, brute force finishes
     "noise-1e154": ["--sweep", "noise", "--grid", "1e154", "--n", "8", "--trials", "2",
                     "--estimator", "alta,aloa,brute"],
+    # every trial finishes at 0.1 and alta's and aloa's all fail at 1e154, so
+    # summary groups without a finished trial sit between groups with all of them
+    "noise-mixed": ["--sweep", "noise", "--grid", "0.1,1e154", "--n", "8", "--trials", "2",
+                    "--estimator", "alta,aloa,brute", "--init", "random", "--svg"],
 }
 # a covariance matrix from cov.csv on the sized axes; the snr grid puts a scale
 # of 2 on the second point
