@@ -1,8 +1,10 @@
-"""Batch harness and command-line front end.
+"""Sweep harness and command-line front end.
 
 Subcommands: gen, estimate, sweep, bound, bruteforce, lemma. Exit codes:
 0 success, 1 usage error, 2 numerical failure, 3 inequality-suite violation.
 A closed stdout (``tlsperm ... | head``) ends the command quietly with 1.
+The inequality suite behind ``lemma`` lives in evaluation, beside its checks;
+this module holds argparse and the sweep harness.
 
 Sweeps are deterministic: every trial owns a counter-based stream keyed by
 (seed, grid index, trial index), records are sorted canonically before
@@ -34,10 +36,8 @@ from .evaluation import (
     _hamming_distance,
     _procrustes_loss,
     _quadratic_loss,
-    eig_tail_rhs,
-    procrustes_residual_gap,
     recovery_bound,
-    trace_max_check,
+    run_lemma_suite,
 )
 from .lap import _bind_assignment
 from .matio import format_float, read_matrix, read_permutation, write_matrix, write_permutation
@@ -51,7 +51,6 @@ from .model import (
     identity_permutation,
     partial_shuffle,
     random_orthogonal,
-    random_permutation,
     rotation_2d,
     stream,
 )
@@ -384,61 +383,6 @@ def write_sweep_svg(path, rows: list[dict], title: str) -> None:
                      f'font-size="12">{label}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
-
-
-# -- inequality suites -------------------------------------------------------
-
-def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
-                    p: int = 2, eps: float = 0.5) -> tuple[list[dict], int]:
-    """Randomized checks of the supporting inequalities.
-
-    kinds: procrustes (alignment loss vs twice the rank-p residual), tracemax
-    (constrained trace maximum vs nuclear norm), eigtail (empirical tail
-    frequency of the stacked noise Gram vs its bound). Returns (rows,
-    violation count).
-    """
-    if trials < 1:
-        raise ContractViolation("trials must be >= 1")
-    # the eigtail options are checked on every kind, before any draw
-    tail_rhs = eig_tail_rhs(as_covariance(1.0, p), n, eps)
-    rows: list[dict] = []
-    violations = 0
-    if kind in ("procrustes", "tracemax"):
-        for t in range(trials):
-            rng = stream(seed, t)
-            pt = int(rng.integers(1, 4))
-            nt = int(rng.integers(2 * pt, 13))
-            x = generate_design(nt, pt, rng)
-            perm = random_permutation(nt, rng)
-            if kind == "procrustes":
-                lhs, rhs = procrustes_residual_gap(x, perm)
-                bad = lhs > rhs + 1e-9
-            else:
-                lhs, rhs = trace_max_check(x, perm, samples=64, rng=rng)
-                bad = lhs > rhs + 1e-9 or lhs < rhs - max(0.02 * rhs, 1e-9)
-            violations += int(bad)
-            rows.append({"kind": kind, "trial": t, "n": nt, "p": pt,
-                         "lhs": lhs, "rhs": rhs, "violation": int(bad)})
-        return rows, violations
-    if kind != "eigtail":
-        raise ContractViolation(f"unknown suite kind {kind!r}")
-    lam1 = 1.0
-    threshold = 2.0 * n * lam1 * (1.0 + eps)
-    exceed = 0
-    for t in range(trials):
-        rng = stream(seed, t)
-        e1 = rng.standard_normal((n, p))
-        e2 = rng.standard_normal((n, p))
-        top1 = float(np.linalg.eigvalsh(e1.T @ e1)[-1])
-        top2 = float(np.linalg.eigvalsh(e2.T @ e2)[-1])
-        if top2 + top1 >= threshold:
-            exceed += 1
-    freq = exceed / trials
-    bad = freq > tail_rhs
-    violations = int(bad)
-    rows.append({"kind": kind, "trial": trials, "n": n, "p": p,
-                 "lhs": freq, "rhs": tail_rhs, "violation": int(bad)})
-    return rows, violations
 
 
 # -- argparse front end -------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Recovery metrics, the high-probability loss bound, and inequality checks.
+"""Recovery metrics, the high-probability loss bound, the inequality checks
+and their randomized suite.
 
-The bound and the two inequality checks mirror the analysis the estimators
+The bounds and the two inequality checks mirror the analysis the estimators
 rest on; the checks return (lhs, rhs) pairs so harness code and tests can
-assert the inequality and inspect the gap. Both bounds read the noise
-covariance only through its eigenvalues, taken once by ``model._covariance``;
-a design norm, trace or bound that overflows raises NumericalFailure.
+assert the inequality and inspect the gap. run_lemma_suite, which ``tlsperm
+lemma`` runs, draws random instances for both checks and for the noise-Gram
+tail bound, and owns the tolerances that turn a gap into a violation. Both
+bounds read the noise covariance only through its eigenvalues, taken once by
+``model._covariance``; a design norm, trace or bound that overflows raises
+NumericalFailure.
 """
 from __future__ import annotations
 
@@ -15,7 +19,8 @@ import numpy as np
 
 from .errors import ContractViolation, NumericalFailure
 from .linalg import _orthogonal_procrustes, _singular_values, _svd_factors, as_matrix
-from .model import Rng, _covariance, _snr, as_permutation, random_orthogonal, stream
+from .model import (Rng, _covariance, _snr, as_covariance, as_permutation, generate_design,
+                    random_orthogonal, random_permutation, stream)
 from .tls import tls_objective
 
 
@@ -217,3 +222,58 @@ def trace_max_check(x, pi, samples: int = 256, rng: Rng | None = None) -> tuple[
             v = random_orthogonal(p, rng) * inv_sqrt2
         best = max(best, value(u, v))
     return best, rhs
+
+
+# -- randomized inequality suite ---------------------------------------------
+
+def run_lemma_suite(kind: str, trials: int, seed: int, n: int = 2000,
+                    p: int = 2, eps: float = 0.5) -> tuple[list[dict], int]:
+    """Randomized checks of the supporting inequalities.
+
+    kinds: procrustes (alignment loss vs twice the rank-p residual), tracemax
+    (constrained trace maximum vs nuclear norm), eigtail (empirical tail
+    frequency of the stacked noise Gram vs its bound). Returns (rows,
+    violation count).
+    """
+    if trials < 1:
+        raise ContractViolation("trials must be >= 1")
+    # the eigtail options are checked on every kind, before any draw
+    tail_rhs = eig_tail_rhs(as_covariance(1.0, p), n, eps)
+    rows: list[dict] = []
+    violations = 0
+    if kind in ("procrustes", "tracemax"):
+        for t in range(trials):
+            rng = stream(seed, t)
+            pt = int(rng.integers(1, 4))
+            nt = int(rng.integers(2 * pt, 13))
+            x = generate_design(nt, pt, rng)
+            perm = random_permutation(nt, rng)
+            if kind == "procrustes":
+                lhs, rhs = procrustes_residual_gap(x, perm)
+                bad = lhs > rhs + 1e-9
+            else:
+                lhs, rhs = trace_max_check(x, perm, samples=64, rng=rng)
+                bad = lhs > rhs + 1e-9 or lhs < rhs - max(0.02 * rhs, 1e-9)
+            violations += int(bad)
+            rows.append({"kind": kind, "trial": t, "n": nt, "p": pt,
+                         "lhs": lhs, "rhs": rhs, "violation": int(bad)})
+        return rows, violations
+    if kind != "eigtail":
+        raise ContractViolation(f"unknown suite kind {kind!r}")
+    lam1 = 1.0
+    threshold = 2.0 * n * lam1 * (1.0 + eps)
+    exceed = 0
+    for t in range(trials):
+        rng = stream(seed, t)
+        e1 = rng.standard_normal((n, p))
+        e2 = rng.standard_normal((n, p))
+        top1 = float(np.linalg.eigvalsh(e1.T @ e1)[-1])
+        top2 = float(np.linalg.eigvalsh(e2.T @ e2)[-1])
+        if top2 + top1 >= threshold:
+            exceed += 1
+    freq = exceed / trials
+    bad = freq > tail_rhs
+    violations = int(bad)
+    rows.append({"kind": kind, "trial": trials, "n": n, "p": p,
+                 "lhs": freq, "rhs": tail_rhs, "violation": int(bad)})
+    return rows, violations

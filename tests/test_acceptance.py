@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from tlsperm.cli import ExperimentConfig, main, run_lemma_suite, run_sweep
+from tlsperm.cli import ExperimentConfig, main, run_sweep
 from tlsperm.estimators import alta, brute_force_tls, build_cost
 from tlsperm.evaluation import (
     hamming_distance,
@@ -21,6 +21,7 @@ from tlsperm.evaluation import (
     procrustes_residual_gap,
     quadratic_loss,
     recovery_bound,
+    run_lemma_suite,
 )
 from tlsperm.lap import solve_lap
 from tlsperm.linalg import _orthogonal_procrustes

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlsperm import cli, estimators, lap, model
+from tlsperm import cli, estimators, evaluation, lap, model
 from tlsperm.cli import main
 from tlsperm.errors import ContractViolation, NumericalFailure
 from tlsperm.estimators import alta
@@ -240,6 +240,17 @@ class TestEstimate:
             captured = capsys.readouterr()
             assert captured.out == "", extra
             assert captured.err == f"error: {message}\n", extra
+
+    def test_degenerate_first_fit_is_reported_with_exit_0(self, tmp_path, capsys):
+        """A y1 of zeros leaves alta's first fit degenerate: the estimate is
+        printed with its failure line, and the command still succeeds."""
+        y1, y2 = tmp_path / "y1.csv", tmp_path / "y2.csv"
+        write_matrix(y1, np.zeros((5, 2)))
+        write_matrix(y2, np.arange(10.0).reshape(5, 2))
+        assert run("estimate", "--y1", y1, "--y2", y2) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "estimator: alta_c3", "objective: 0", "iterations: 1", "converged: False",
+            "failure: degenerate_fit"]
 
     def test_rank_deficient_input_is_numerical_failure(self, tmp_path):
         y1 = tmp_path / "y1.csv"
@@ -500,6 +511,15 @@ class TestSweep:
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
         assert "alta_c3" in svg and "aloa" in svg
+
+    def test_one_point_svg_puts_its_tick_at_the_centre(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run("sweep", "--sweep", "noise", "--grid", 0.1, "--n", 12, "--trials", 1,
+                   "--svg", "--out", out) == 0
+        capsys.readouterr()
+        svg = out.with_suffix(".svg").read_text()
+        assert svg.count('x1="345.0"') == 1
+        assert '<line x1="345.0" y1="370" x2="345.0" y2="374" stroke="black"/>' in svg
 
     def test_shuffle_axis_runs_and_zero_fraction_stays_at_truth(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -813,10 +833,18 @@ class TestLemmaCommand:
         assert run("lemma", "--kind", "procrustes", "--trials", 3, "--n", -5) == 1
         assert run("lemma", "--kind", "tracemax", "--trials", 3, "--eps", -1, "--p", 0) == 1
 
+    def test_violation_exits_3(self, capsys, monkeypatch):
+        """A check that reports lhs above rhs is counted, printed and ends the
+        command with exit code 3."""
+        monkeypatch.setattr(evaluation, "procrustes_residual_gap", lambda x, perm: (1.0, 0.0))
+        assert run("lemma", "--kind", "procrustes", "--trials", 1) == 3
+        assert capsys.readouterr().out == (
+            "kind=procrustes trials=1 violations=1 worst_gap=1\n")
+
     @pytest.mark.parametrize("kind", ["bogus", "eigtails"])
     def test_unknown_suite_kind_is_rejected(self, kind):
         with pytest.raises(ContractViolation, match=f"^unknown suite kind '{kind}'$"):
-            cli.run_lemma_suite(kind, 1, 0)
+            evaluation.run_lemma_suite(kind, 1, 0)
 
 
 class TestReadme:

@@ -1,17 +1,26 @@
 """Hash every artifact of a fixed set of tlsperm commands, for byte-identity checks.
 
 Runs each command through ``python3 -m tlsperm.cli`` with the package taken
-from ``--src``, each in its own directory under a fresh temporary directory,
-with one BLAS thread. Prints one ``name sha256`` line per artifact: the
+from ``--src`` (default: this checkout's ``src``), each in its own directory
+under a fresh temporary directory, with one BLAS thread. Its artifacts are the
 command's stdout, stderr and exit code, and every file in its directory
 afterwards: what it wrote and any fixed input it started from. Sweep records
-are hashed without their last (wall_ms) column. Compare two trees with
+are hashed without their last (wall_ms) column.
 
-    python3 tools/output_digests.py --src OLD/src > old.txt
-    python3 tools/output_digests.py --src NEW/src > new.txt
-    diff old.txt new.txt
+The manifest opens with ``#`` lines naming the Python, numpy and scipy
+versions and the BLAS each of numpy and scipy was built against, then holds
+one sorted ``name sha256`` line per artifact. It goes to stdout, or to FILE
+with ``--write FILE``. ``--check FILE`` runs every command and prints the name
+of each artifact that is ``changed``, ``missing`` (in FILE, not produced) or
+``extra`` (produced, not in FILE); it exits 1 if there is one, and 0 if every
+artifact matches. When FILE's header names other versions than the running
+ones, it prints ``unverifiable`` and exits 2 without running anything, since
+other library builds may round otherwise.
 
-Standard library only; takes about 90 s on a 2-vCPU machine (Python 3.11,
+    python3 tools/output_digests.py --check tools/output_digests.txt
+    python3 tools/output_digests.py --write tools/output_digests.txt
+
+Standard library only; a run takes 75-90 s on a 2-vCPU machine (Python 3.11,
 numpy 2.4, scipy 1.17).
 """
 from __future__ import annotations
@@ -313,37 +322,96 @@ def file_digest(path: Path) -> str:
     return sha256(data)
 
 
-def run_all(src: Path, root: Path) -> list[tuple[str, str]]:
-    """Run every command in its own directory under root; return (name, digest) pairs."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", LC_ALL="C")
-    out = []
-    for name, steps in COMMANDS.items():
-        cwd = root / name
-        cwd.mkdir()
-        for fname, data in INPUTS.get(name, {}).items():
-            (cwd / fname).write_bytes(data)
-        for argv in steps:
-            proc = subprocess.run([sys.executable, "-m", "tlsperm.cli", *argv], cwd=cwd,
-                                  env=env, capture_output=True, timeout=600)
-        out += [(f"{name}.stdout", sha256(proc.stdout)),
-                (f"{name}.stderr", sha256(proc.stderr)),
-                (f"{name}.exit", sha256(str(proc.returncode).encode()))]
-        out += [(f"{name}/{path.relative_to(cwd)}", file_digest(path))
-                for path in sorted(cwd.rglob("*")) if path.is_file()]
+def run_all(env: dict) -> dict[str, str]:
+    """Run every command in env, each in its own directory under a fresh
+    temporary one; return {artifact name: digest}."""
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="tlsperm-digests-") as tmp:
+        for name, steps in COMMANDS.items():
+            cwd = Path(tmp) / name
+            cwd.mkdir()
+            for fname, data in INPUTS.get(name, {}).items():
+                (cwd / fname).write_bytes(data)
+            for argv in steps:
+                proc = subprocess.run([sys.executable, "-m", "tlsperm.cli", *argv], cwd=cwd,
+                                      env=env, capture_output=True, timeout=600)
+            out[f"{name}.stdout"] = sha256(proc.stdout)
+            out[f"{name}.stderr"] = sha256(proc.stderr)
+            out[f"{name}.exit"] = sha256(str(proc.returncode).encode())
+            out.update((f"{name}/{path.relative_to(cwd)}", file_digest(path))
+                       for path in sorted(cwd.rglob("*")) if path.is_file())
     return out
+
+
+# the running versions, printed by the interpreter the commands run in
+VERSIONS = """\
+import platform, numpy, scipy
+print(f"# python {platform.python_version()}")
+print(f"# numpy {numpy.__version__}")
+print(f"# scipy {scipy.__version__}")
+for lib in (numpy, scipy):
+    blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"# {lib.__name__} blas {blas['name']} {blas.get('version', 'unknown')}")
+"""
+
+
+def header(env: dict) -> list[str]:
+    """The manifest's version lines, for the interpreter and packages in env."""
+    proc = subprocess.run([sys.executable, "-c", VERSIONS], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout.splitlines()
+
+
+def read_manifest(path: Path) -> tuple[list[str], dict[str, str]]:
+    """(header lines, {name: digest}) of a manifest file."""
+    lines = path.read_text().splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    digests = dict(line.split(" ") for line in lines if line and not line.startswith("#"))
+    return head, digests
+
+
+def check(path: Path, env: dict) -> int:
+    """Print what differs between the manifest at path and a run; the exit code."""
+    want_head, want = read_manifest(path)
+    head = header(env)
+    if head != want_head:
+        print(f"unverifiable: {path} was written under other versions")
+        for line in sorted(set(want_head) ^ set(head)):
+            print(f"  {'manifest' if line in want_head else 'running '} {line[2:]}")
+        return 2
+    got = run_all(env)
+    faults = [f"changed {name}" for name in sorted(want.keys() & got.keys())
+              if want[name] != got[name]]
+    faults += [f"missing {name}" for name in sorted(want.keys() - got.keys())]
+    faults += [f"extra {name}" for name in sorted(got.keys() - want.keys())]
+    for line in faults:
+        print(line)
+    print(f"{len(faults)} of {len(want.keys() | got.keys())} artifacts differ")
+    return 1 if faults else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="directory that holds the tlsperm package")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory that holds the tlsperm package")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", type=Path, metavar="FILE", help="write the manifest to FILE")
+    mode.add_argument("--check", type=Path, metavar="FILE", help="compare against FILE")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
+    src = args.src.resolve()
     if not (src / "tlsperm" / "cli.py").is_file():
         parser.error(f"no tlsperm package under {src}")
-    with tempfile.TemporaryDirectory(prefix="tlsperm-digests-") as tmp:
-        for name, digest in run_all(src, Path(tmp)):
-            print(f"{name} {digest}")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", LC_ALL="C")
+    if args.check:
+        return check(args.check, env)
+    digests = run_all(env)
+    text = "\n".join(header(env) + [f"{name} {digests[name]}" for name in sorted(digests)])
+    text += "\n"
+    if args.write:
+        args.write.write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
