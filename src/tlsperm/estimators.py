@@ -22,9 +22,11 @@ rescaling of y1 and y2 by 2^k returns the same estimate, and an objective that
 does not fit in the caller's units is the one overflow, a NumericalFailure.
 
 Inputs are validated once, by the public functions. The engine and the private
-kernels (``_cost``, ``tls._fit``) take arrays that are already validated;
-``tls_objective`` checks a float64 pair in one pass over the stack it scores,
-other input by ``_observation_pair`` first. ``solve_lap``'s scan never rejects
+kernels (``_cost``, ``tls._fit``) take arrays that are already validated.
+alta's objectives, a degenerate fit's included, are the residuals ``tls._fit``
+returns from its own SVD; brute force and aloa score by ``tls_objective``,
+which checks a float64 pair in one pass over the stack it scores, other input
+by ``_observation_pair`` first. ``solve_lap``'s scan never rejects
 an engine cost: every one is a square float64 matrix, finite by construction,
 since in the frame every entry is below 1, alta's fits pass a rank rule that
 bounds r_hat (see ``tls._fit``), and aloa's fits are projections of y2.
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateFit, RankDeficient
+from .errors import ContractViolation, RankDeficient
 from .lap import solve_lap
 from .linalg import _rank_deficient, _solve, _svd_factors, as_matrix
 from .model import as_permutation, identity_permutation
@@ -231,12 +233,8 @@ def alta(y1, y2, kind: str = "c3", init=None) -> EstimateResult:
     m1, m2, pi, e = _start(y1, y2, init)
 
     def fit(pi, y1p):
-        try:
-            f = _fit(m2, y1p)
-        except DegenerateFit:
-            objective = tls_objective(m2, y1p)
-            return objective, objective, None
-        return f.objective, f.objective, f
+        objective, f = _fit(m2, y1p)
+        return objective, objective, f
 
     def cost(f: TlsFit, y1p: np.ndarray) -> np.ndarray:
         return _cost(kind, f.x_hat, f.r_hat, y1p, m2)

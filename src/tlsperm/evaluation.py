@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericalFailure
-from .linalg import _orthogonal_procrustes, _singular_values, _svd_factors, as_matrix
+from .linalg import (_orthogonal_procrustes, _rank_deficient, _singular_values, _svd_factors,
+                     as_matrix)
 from .model import (Rng, _covariance, _snr, as_covariance, as_permutation, generate_design,
                     random_orthogonal, random_permutation, stream)
 from .tls import tls_objective
@@ -127,7 +128,7 @@ def recovery_bound(x, r, sigma, eta: float, c: float = 1.0 / 32.0) -> BoundValue
             noiseless=True,
         )
     sr = _singular_values(rm)
-    if sr[-1] <= 1e-12 * sr[0]:
+    if _rank_deficient(sr):
         raise ContractViolation("mixing matrix must be invertible")
     s_top = max(1.0, float(sr[0]))
     s_bot = min(1.0, float(sr[-1]))
@@ -178,8 +179,7 @@ def procrustes_residual_gap(x, pi) -> tuple[float, float]:
     mat = as_matrix(x, "design")
     s = _singular_values(mat)
     # condition number s[0] / s[-1], inf for a wide or rank-deficient design
-    infinite = mat.shape[0] < mat.shape[1] or not s[-1] > 1e-12 * s[0]
-    if infinite or abs(s[0] / s[-1] - 1.0) > 1e-6:
+    if mat.shape[0] < mat.shape[1] or _rank_deficient(s) or abs(s[0] / s[-1] - 1.0) > 1e-6:
         raise ContractViolation("check requires condition number 1")
     perm = as_permutation(pi, mat.shape[0])
     _, lhs = _orthogonal_procrustes(mat, mat[perm])

@@ -59,8 +59,7 @@ def partial_shuffle(n: int, k: int, rng: Rng) -> np.ndarray:
     if not 0 <= k <= n:
         raise ContractViolation(f"partial_shuffle needs 0 <= k <= n, got k={k}, n={n}")
     perm = identity_permutation(n)
-    if k > 1:
-        perm[:k] = rng.permutation(k)
+    perm[:k] = rng.permutation(k)
     return perm
 
 

@@ -5,10 +5,11 @@ rank-p matrix to [y2 | y1p] in Frobenius norm. The residual, the sum of the
 p smallest squared singular values of the stack, is the objective every
 estimator in this package minimizes over row alignments.
 
-``tls_objective`` scores it for brute force, aloa, alta's degenerate fits, cli
-and evaluation; alta's fitted iterates take theirs from ``_fit``'s SVD. It
-checks a float64 pair by one finiteness pass over the stack it scores, and any
-other input, like ``tls_fit``'s, by ``_observation_pair`` first.
+``tls_objective`` scores it for brute force, aloa, cli and evaluation. alta
+takes every iterate's from ``_fit``'s SVD, which returns the residual with the
+fit, or with None when the denoised design fails the rank rule. It checks a
+float64 pair by one finiteness pass over the stack it scores, and any other
+input, like ``tls_fit``'s, by ``_observation_pair`` first.
 
 The estimators' power-of-two frame lives here too: ``_framed_pair`` rescales a
 validated pair, and ``_unscaled``, the one rule for an objective that
@@ -67,7 +68,6 @@ def tls_objective(y2, y1p) -> float:
     2^480 is rescored in the frame of _framed_pair, which raises the named
     error on the first and, through _unscaled, NumericalFailure when the
     residual overflows; any other is scored by linalg._singular_values.
-    Callers: brute_force_tls, aloa, alta, cli, evaluation.
     """
     if not (type(y2) is np.ndarray and type(y1p) is np.ndarray
             and y2.dtype is _FLOAT64 and y1p.dtype is _FLOAT64
@@ -103,14 +103,19 @@ def tls_fit(y2, y1p) -> TlsFit:
     block and a denoised y1p block (x_hat). r_hat solves the exactly
     consistent system x_hat @ r = denoised y2; no inverse is formed. Raises
     DegenerateFit when x_hat is numerically rank deficient relative to the
-    stack (see _fit), which callers treat as a failed iterate.
+    stack (see _fit).
     """
     m1, m2, _, _ = _observation_pair(y1p, y2)
-    return _fit(m2, m1)
+    fit = _fit(m2, m1)[1]
+    if fit is None:
+        raise DegenerateFit("denoised design is numerically rank deficient")
+    return fit
 
 
-def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
-    """tls_fit() on a validated pair, from one SVD of [y2 | y1p].
+def _fit(m2: np.ndarray, m1p: np.ndarray) -> tuple[float, TlsFit | None]:
+    """(objective, fit) for a validated pair, from one SVD of [y2 | y1p]; fit
+    is None when the rank rule below finds x_hat degenerate, and the objective,
+    the rank-p residual, is returned either way.
 
     With [y2 | y1p] = U S V.T, A = V[:p, :p] and B = V[p:, :p], the rank-p
     truncation has blocks y2_hat = U_p S_p A.T and x_hat = U_p S_p B.T. As U_p
@@ -137,8 +142,7 @@ def _fit(m2: np.ndarray, m1p: np.ndarray) -> TlsFit:
     tail = s[p:]
     objective = float(np.add.reduce(tail * tail))
     a, b = v[:p, :p], v[p:, :p]
-    x_hat = (u[:, :p] * s[:p]) @ b.T
     if _rank_deficient((s[0], _singular_values(s[:p, None] * b.T)[-1])):
-        raise DegenerateFit("denoised design is numerically rank deficient")
-    r_hat = _solve(b.T, a.T)
-    return TlsFit(x_hat=x_hat, r_hat=r_hat, objective=objective)
+        return objective, None
+    x_hat = (u[:, :p] * s[:p]) @ b.T
+    return objective, TlsFit(x_hat=x_hat, r_hat=_solve(b.T, a.T), objective=objective)

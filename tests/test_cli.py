@@ -716,6 +716,12 @@ class TestSweep:
              "covariance contains NaN or Inf entries"),
             (("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv",
               "--init", "truth"), "--init truth needs a known true permutation"),
+            # truth files only score files; they are refused before any read or draw
+            (("estimate", "--n", 12, "--truth-x", tmp_path / "missing.csv",
+              "--truth-perm", tmp_path / "missing.txt"),
+             "--truth-x and --truth-perm need --y1 and --y2"),
+            (("estimate", "--truth-perm", inst / "pi_star.txt"),
+             "--truth-x and --truth-perm need --y1 and --y2"),
             (("estimate", "--n", 12, "--init", "partial=99"),
              "partial shuffle size 99 exceeds n=12"),
             (("sweep", "--sweep", "noise", "--grid", "0.1", "--n", 12,
@@ -733,6 +739,8 @@ class TestSweep:
             (("sweep", "--sweep", "noise", "--grid", "0.1,nan", "--out", out),
              "bad grid '0.1,nan'"),
             (("bound", "--eta", "nan"), "bad grid 'nan'"),
+            (("bound", "--eta", ","), "grid must be nonempty"),
+            ((*sweep, "noise", "--grid", ","), "grid must be nonempty"),
             (("bound", "--c", "nan"), "eta and c must be positive"),
             (("estimate", "--p", -1), "p must be >= 1"),
             (("gen", "--p", -1, "--out", inst), "p must be >= 1"),

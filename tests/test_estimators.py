@@ -40,7 +40,7 @@ from tlsperm.model import (
     rotation_2d,
     stream,
 )
-from tlsperm.tls import TlsFit, _framed_pair, tls_fit, tls_objective
+from tlsperm.tls import TlsFit, _fit, _framed_pair, tls_fit, tls_objective
 
 from oracles import block_design
 
@@ -277,6 +277,41 @@ class TestAlta:
         assert not res.converged
         assert np.array_equal(res.perm, np.arange(6))
         assert len(res.objective_trace) == 1
+
+    def test_degenerate_fit_reports_its_own_residual(self, monkeypatch):
+        """A rank-1 y1 leaves the first fit degenerate. Its objective is the
+        residual of the fit's own SVD: no second scoring, so alta finishes
+        with tls_objective patched to raise."""
+        y1 = np.array([[1, 2], [2, 4], [-1, -2], [3, 6], [0, 0], [-2, -4], [1, 2]], float)
+        y2 = np.array([[3, 1], [-2, 4], [5, -1], [1, 2], [-4, -3], [2, 5], [0, -2]], float)
+        m1, m2, _, e = _framed_pair(y1, y2)
+        residual, fit = _fit(m2, m1)
+        assert fit is None and residual > 0.0
+        want = tls_objective(y2, y1)
+
+        def unused(*args):
+            raise AssertionError("tls_objective called")
+
+        monkeypatch.setattr(estimators, "tls_objective", unused)
+        res = alta(y1, y2, kind="c3")
+        assert (res.failure, res.iterations, res.converged) == ("degenerate_fit", 1, False)
+        assert res.objective_trace == [res.best_objective] == [math.ldexp(residual, e)]
+        assert res.best_objective == pytest.approx(want, rel=1e-12)
+
+    def test_noiseless_recovery_through_cost_ties(self):
+        """A noiseless n=60 instance from a random start: c1's costs tie on
+        the way, and alta still reaches the truth in 9 fits. A stop on a
+        start whose assignment cost is within 1e-12 of the optimal total
+        ends 6 fits in with 22 rows wrong."""
+        rng = stream(900, 60, 0, 4)
+        x = generate_design(60, 2, rng)
+        pi_star = random_permutation(60, rng)
+        inst = ProblemInstance(x=x, r=rotation_2d(60.0), pi_star=pi_star,
+                               sigma=as_covariance(0.0, 2))
+        obs = generate_observations(inst, rng)
+        res = alta(obs.y1, obs.y2, kind="c1", init=random_permutation(60, rng))
+        assert np.count_nonzero(res.perm != pi_star) == 0
+        assert res.best_objective <= 1e-20
 
     def test_rejects_bad_kind(self):
         _, _, y1, y2 = noisy_instance(6, sigma=0.1, seed=90)

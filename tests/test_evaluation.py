@@ -197,6 +197,15 @@ class TestRecoveryBound:
         with pytest.raises(ContractViolation):
             recovery_bound(x, np.zeros((2, 2)), 0.1, eta=1.0)
 
+    def test_mixing_rank_rule_is_the_package_rule(self):
+        """The mixing matrix is judged by linalg's one rank rule, 1e-10 of its
+        largest singular value: diag(1, 1e-11) is singular, diag(1, 1e-9)
+        gives a finite bound."""
+        x = generate_design(20, 2, stream(53))
+        with pytest.raises(ContractViolation, match="^mixing matrix must be invertible$"):
+            recovery_bound(x, np.diag([1.0, 1e-11]), 0.1, eta=1.0)
+        assert math.isfinite(recovery_bound(x, np.diag([1.0, 1e-9]), 0.1, eta=1.0).bound)
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_overflowing_bound_is_a_numerical_failure(self, p):
         """sigma^2 = 1e308 is a finite covariance, but at p >= 2 its trace
