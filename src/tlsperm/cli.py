@@ -544,6 +544,8 @@ def _cmd_estimate(args) -> int:
         raise ContractViolation("--y1 and --y2 must be given together")
     if args.y1 is None and (args.truth_x or args.truth_perm):
         raise ContractViolation("--truth-x and --truth-perm need --y1 and --y2")
+    if args.truth_x and not args.truth_perm:  # the losses need both
+        raise ContractViolation("--truth-x needs --truth-perm")
     if args.y1 is not None:
         y1 = read_matrix(args.y1)
         y2 = read_matrix(args.y2)

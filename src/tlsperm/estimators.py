@@ -25,11 +25,12 @@ Inputs are validated once, by the public functions. The engine and the private
 kernels (``_cost``, ``tls._fit``) take arrays that are already validated.
 alta's objectives, a degenerate fit's included, are the residuals ``tls._fit``
 returns from its own SVD; brute force and aloa score by ``tls_objective``,
-which checks a float64 pair in one pass over the stack it scores, other input
-by ``_observation_pair`` first. ``solve_lap``'s scan never rejects
-an engine cost: every one is a square float64 matrix, finite by construction,
-since in the frame every entry is below 1, alta's fits pass a rank rule that
-bounds r_hat (see ``tls._fit``), and aloa's fits are projections of y2.
+which checks every pair in one pass over the stack it scores and sends any
+pair that pass refuses through ``_framed_pair``. ``solve_lap``'s scan never
+rejects an engine cost: every one is a square float64 matrix, finite by
+construction, since in the frame every entry is below 1, alta's fits pass a
+rank rule that bounds r_hat (see ``tls._fit``), and aloa's fits are
+projections of y2.
 
 Cost-matrix frame: every cost is built on the aligned pair the fit saw, y2
 and y1p = y1[pi]. Entry (i, j) scores pairing y2 row i with aligned row j, so

@@ -7,9 +7,10 @@ estimator in this package minimizes over row alignments.
 
 ``tls_objective`` scores it for brute force, aloa, cli and evaluation. alta
 takes every iterate's from ``_fit``'s SVD, which returns the residual with the
-fit, or with None when the denoised design fails the rank rule. It checks a
-float64 pair by one finiteness pass over the stack it scores, and any other
-input, like ``tls_fit``'s, by ``_observation_pair`` first.
+fit, or with None when the denoised design fails the rank rule. It converts
+any input to float arrays and checks a pair by one pass over the stack it
+scores; a pair that pass refuses goes to its one fallback, ``_framed_pair``,
+whose ``_observation_pair`` is the check ``tls_fit`` runs on every input.
 
 The estimators' power-of-two frame lives here too: ``_framed_pair`` rescales a
 validated pair, and ``_unscaled``, the one rule for an objective that
@@ -24,8 +25,6 @@ import numpy as np
 
 from .errors import ContractViolation, DegenerateFit, NumericalFailure
 from .linalg import _lange, _rank_deficient, _singular_values, _solve, _svd_factors, as_matrix
-
-_FLOAT64 = np.dtype(np.float64)
 
 
 def _observation_pair(y1, y2) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -62,28 +61,26 @@ def _unscaled(value: float, e: int) -> float:
 def tls_objective(y2, y1p) -> float:
     """Sum of the p smallest squared singular values of [y2 | y1p].
 
-    Two float64 ndarrays (exact type and dtype) of one 2-D shape with
-    n >= 2p >= 2 go straight to the stack; anything else is checked by
-    _observation_pair first. A stack with a non-finite entry or one above
-    2^480 is rescored in the frame of _framed_pair, which raises the named
-    error on the first and, through _unscaled, NumericalFailure when the
-    residual overflows; any other is scored by linalg._singular_values.
+    y1p and then y2 are converted to float arrays. A pair of one 2-D shape
+    with n >= 2p >= 2 whose stack is finite and at most 2^480 in magnitude is
+    scored by linalg._singular_values. Every other pair is rescored in the
+    frame of _framed_pair, which raises _observation_pair's named error for a
+    bad shape or a non-finite entry and, through _unscaled, NumericalFailure
+    when the residual overflows.
     """
-    if not (type(y2) is np.ndarray and type(y1p) is np.ndarray
-            and y2.dtype is _FLOAT64 and y1p.dtype is _FLOAT64
-            and y2.ndim == 2 and y2.shape == y1p.shape
-            and y2.shape[0] >= 2 * y2.shape[1] >= 2):
-        y1p, y2, _, _ = _observation_pair(y1p, y2)
-    stack = np.concatenate((y2, y1p), axis=1)
-    # dlange's largest magnitude propagates NaN; a C-ordered stack is read in
-    # place as its Fortran-ordered transpose. Up to 2^480 the squared norm of
-    # any array numpy can hold (2^60 entries at most), which bounds the
-    # residual, stays below 2^1020.
-    if not _lange("M", stack.T) <= 2.0 ** 480:
-        y1p, y2, _, e = _framed_pair(y1p, y2)
-        return _unscaled(tls_objective(y2, y1p), e)
-    tail = _singular_values(stack)[y2.shape[1]:]
-    return float(np.add.reduce(tail * tail))
+    y1p = np.asarray(y1p, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    if y2.ndim == 2 and y2.shape == y1p.shape and y2.shape[0] >= 2 * y2.shape[1] >= 2:
+        stack = np.concatenate((y2, y1p), axis=1)
+        # dlange's largest magnitude propagates NaN; a C-ordered stack is read
+        # in place as its Fortran-ordered transpose. Up to 2^480 the squared
+        # norm of any array numpy can hold (2^60 entries at most), which
+        # bounds the residual, stays below 2^1020.
+        if _lange("M", stack.T) <= 2.0 ** 480:
+            tail = _singular_values(stack)[y2.shape[1]:]
+            return float(np.add.reduce(tail * tail))
+    y1p, y2, _, e = _framed_pair(y1p, y2)
+    return _unscaled(tls_objective(y2, y1p), e)
 
 
 @dataclass

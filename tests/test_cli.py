@@ -716,12 +716,15 @@ class TestSweep:
              "covariance contains NaN or Inf entries"),
             (("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv",
               "--init", "truth"), "--init truth needs a known true permutation"),
-            # truth files only score files; they are refused before any read or draw
+            # truth files only score files, and x only with the permutation; they
+            # are refused before any read or draw
             (("estimate", "--n", 12, "--truth-x", tmp_path / "missing.csv",
               "--truth-perm", tmp_path / "missing.txt"),
              "--truth-x and --truth-perm need --y1 and --y2"),
             (("estimate", "--truth-perm", inst / "pi_star.txt"),
              "--truth-x and --truth-perm need --y1 and --y2"),
+            (("estimate", "--y1", inst / "y1.csv", "--y2", inst / "y2.csv",
+              "--truth-x", inst / "x.csv"), "--truth-x needs --truth-perm"),
             (("estimate", "--n", 12, "--init", "partial=99"),
              "partial shuffle size 99 exceeds n=12"),
             (("sweep", "--sweep", "noise", "--grid", "0.1", "--n", 12,

@@ -343,8 +343,8 @@ class Sub(np.ndarray):
 # float64 with metadata: equal to float64, but not the same dtype object
 TAGGED = np.dtype(np.float64, metadata={"unit": "m"})
 
-# inputs accepted off tls_objective's one-pass route, each with its float64
-# equivalent
+# inputs that tls_objective and tls_fit convert to float64 arrays, each with
+# its float64 equivalent
 CONVERTED = {
     "lists": (GOOD.tolist(), (GOOD + 0.5).tolist()),
     "int": (np.arange(12).reshape(6, 2), np.arange(12)[::-1].reshape(6, 2)),
@@ -356,10 +356,10 @@ CONVERTED = {
 
 
 class TestInputRoutes:
-    """tls_objective checks a float64 pair of one valid shape (exact ndarray
-    type, the float64 dtype object itself) with one pass over its stack, and
-    everything else on the as_matrix route, which tls_fit takes for every
-    input. Either way the accepted inputs, values and errors are the same."""
+    """tls_objective converts any input to float arrays and checks a pair of
+    one valid shape with one pass over its stack; what that pass refuses goes
+    through the as_matrix check that tls_fit runs on every input. Lists and
+    arrays of any type, valid or not, give the same values and errors."""
 
     @given(pair=finite_pairs())
     @example(pair=(np.full((4, 1), 1e308), np.full((4, 1), 1e308)))
@@ -368,8 +368,9 @@ class TestInputRoutes:
                    np.array([[1e308], [-1e308], [1e308], [1e308]])))
     @settings(max_examples=200, deadline=None)
     def test_public_equals_private_kernel_bitwise(self, pair):
-        """The objective's one-pass route equals its as_matrix route (lists
-        take it), and tls_fit equals its private kernel's fit, bit for bit."""
+        """The objective of a float64 pair equals that of its lists, converted
+        on the same route, and tls_fit equals its private kernel's fit, bit
+        for bit."""
         y2, y1 = pair
         m1, m2, _, _ = _observation_pair(y1, y2)
         assert outcome(tls_objective, y2, y1) == outcome(tls_objective, y2.tolist(), y1.tolist())
@@ -407,6 +408,9 @@ class TestInputRoutes:
     def test_unconvertible_input_is_numpy_error(self, f):
         with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
             f("abc", GOOD)
+        # y1p is converted first, as in tls_fit
+        with pytest.raises(ValueError, match="could not convert string to float: 'xyz'"):
+            f("abc", "xyz")
 
     @pytest.mark.parametrize("f", [tls_objective, tls_fit])
     @pytest.mark.parametrize("case", CONVERTED)

@@ -123,6 +123,7 @@ USAGE_ERRORS = [
     ["lemma", "--kind", "procrustes", "--trials", "3", "--n", "-5"],
     ["lemma", "--kind", "tracemax", "--trials", "3", "--eps", "-1", "--p", "0"],
     ["estimate", "--n", "12", "--truth-x", "missing.csv", "--truth-perm", "missing.txt"],
+    ["estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--truth-x", "x.csv"],
 ]
 SWEEP_POINT = ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--trials", "1"]
 
