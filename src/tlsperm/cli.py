@@ -47,7 +47,6 @@ from .model import (
     _noise_factor,
     as_covariance,
     generate_design,
-    generate_observations,
     identity_permutation,
     partial_shuffle,
     random_orthogonal,
@@ -501,6 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_directory_out(out: str | None) -> None:
+    """Refuse a directory as --out before a command's work; no --out passes."""
+    if out is not None and Path(out).is_dir():
+        raise ContractViolation(f"--out {Path(out)} is a directory")
+
+
 def _generate_cli_instance(args, perm_spec: str):
     rng = stream(args.seed)
     cov = as_covariance(_sigma_value(args.sigma), args.p)
@@ -508,7 +513,7 @@ def _generate_cli_instance(args, perm_spec: str):
     r = _mixing(args.p, args.theta, rng)
     pi_star = partial_shuffle(args.n, _shuffle_size(perm_spec, args.n), rng)
     inst = ProblemInstance(x=x, r=r, pi_star=pi_star, sigma=cov)
-    return inst, generate_observations(inst, rng)
+    return inst, _draw(x, r, pi_star, _noise_factor(cov).T, rng)
 
 
 def _cmd_gen(args) -> int:
@@ -546,6 +551,7 @@ def _cmd_estimate(args) -> int:
         raise ContractViolation("--truth-x and --truth-perm need --y1 and --y2")
     if args.truth_x and not args.truth_perm:  # the losses need both
         raise ContractViolation("--truth-x needs --truth-perm")
+    _refuse_directory_out(args.out)
     if args.y1 is not None:
         y1 = read_matrix(args.y1)
         y2 = read_matrix(args.y2)
@@ -592,9 +598,8 @@ def _cmd_sweep(args) -> int:
         fresh_design=args.fresh_design == "true",
         workers=args.workers,
     )
+    _refuse_directory_out(args.out)
     out = Path(args.out)
-    if out.is_dir():
-        raise ContractViolation(f"--out {out} is a directory")
     summary_path = out.with_suffix(".summary.csv")  # never equals out: the stem is kept
     svg_path = out.with_suffix(".svg")
     if args.svg and out == svg_path:
@@ -622,6 +627,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_bound(args) -> int:
     etas = _grid_values(args.eta)
     sigma = _sigma_value(args.sigma)
+    _refuse_directory_out(args.out)
     x = generate_design(args.n, args.p, stream(args.seed))
     r = _mixing(args.p, args.theta, stream(args.seed, 1))
     cov = as_covariance(sigma, args.p)
@@ -647,6 +653,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_bruteforce(args) -> int:
+    _refuse_directory_out(args.out)
     inst, obs = _generate_cli_instance(args, args.perm)
     result = brute_force_tls(obs.y1, obs.y2)
     obj_star = tls_objective(obs.y2, obs.y1[inst.pi_star])
@@ -658,12 +665,13 @@ def _cmd_bruteforce(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    rows, violations = run_lemma_suite(args.kind, args.trials, args.seed,
-                                       n=args.n, p=args.p, eps=args.eps)
+    _refuse_directory_out(args.out)
+    rows = run_lemma_suite(args.kind, args.trials, args.seed, n=args.n, p=args.p, eps=args.eps)
     if args.out:
         write_table(args.out, LEMMA_SCHEMA, rows)
         print(args.out)
-    worst = max((row["lhs"] - row["rhs"] for row in rows), default=0.0)
+    violations = sum(row["violation"] for row in rows)
+    worst = max(row["lhs"] - row["rhs"] for row in rows)
     print(f"kind={args.kind} trials={args.trials} violations={violations} "
           f"worst_gap={worst:.3g}")
     if violations:

@@ -126,16 +126,14 @@ def generate_design(n: int, p: int, rng: Rng) -> np.ndarray:
     The basis is u alone, so LAPACK's arbitrary signs would show: each column
     is negated, exactly, unless its first largest-magnitude entry is positive.
     This is the package's one sign rule; every other SVD pairs u with v, where
-    a joint flip cancels."""
+    a joint flip cancels. A rank-deficient draw raises RankDeficient."""
     if not 1 <= p <= n:
         raise ContractViolation(f"generate_design needs 1 <= p <= n, got n={n}, p={p}")
-    for _ in range(2):
-        draw = rng.standard_normal((n, p))
-        u, s, _ = _svd_factors(draw)
-        if not _rank_deficient(s):
-            u = u * np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(p)])
-            return math.sqrt(n * p) * u / float(np.linalg.norm(u))
-    raise RankDeficient("gaussian draw was rank deficient twice in a row")
+    u, s, _ = _svd_factors(rng.standard_normal((n, p)))
+    if _rank_deficient(s):
+        raise RankDeficient("gaussian draw was rank deficient")
+    u = u * np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(p)])
+    return math.sqrt(n * p) * u / float(np.linalg.norm(u))
 
 
 def rotation_2d(theta_degrees: float) -> np.ndarray:

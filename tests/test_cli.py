@@ -130,6 +130,32 @@ class TestGen:
         assert run("gen", "--n", 6, "--sigma", cov, "--out", out) == 0
         assert np.array_equal(read_matrix(out / "sigma.csv"), np.diag([0.09, 0.01]))
 
+    @pytest.mark.parametrize("p, sigma", [
+        (2, 0.1),
+        (3, np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.0], [0.0, 0.0, 0.01]])),
+    ], ids=["scalar", "covariance-file"])
+    def test_draw_equals_library_draw(self, p, sigma, tmp_path):
+        """gen's instance is the library's, bit for bit: the design, mixing,
+        permutation and the observed pair of generate_observations, all drawn
+        in order from stream(seed)."""
+        sigma_arg = sigma
+        if not np.isscalar(sigma):
+            sigma_arg = tmp_path / "cov.csv"
+            write_matrix(sigma_arg, sigma)
+        out = tmp_path / "inst"
+        assert run("gen", "--n", 12, "--p", p, "--sigma", sigma_arg, "--perm", "random",
+                   "--seed", 7, "--out", out) == 0
+        rng = model.stream(7)
+        x = model.generate_design(12, p, rng)
+        r = cli._mixing(p, 60.0, rng)
+        pi_star = model.partial_shuffle(12, 12, rng)
+        obs = model.generate_observations(model.ProblemInstance(x, r, pi_star, sigma), rng)
+        assert np.array_equal(read_matrix(out / "x.csv"), x)
+        assert np.array_equal(read_matrix(out / "r.csv"), r)
+        assert np.array_equal(read_permutation(out / "pi_star.txt"), pi_star)
+        assert read_matrix(out / "y1.csv").tobytes() == obs.y1.tobytes()
+        assert read_matrix(out / "y2.csv").tobytes() == obs.y2.tobytes()
+
     def test_missing_sigma_file_is_usage_error(self, tmp_path):
         assert run("gen", "--n", 6, "--sigma", tmp_path / "nope.csv",
                    "--out", tmp_path / "inst") == 1
@@ -639,6 +665,25 @@ class TestSweep:
         assert afile.read_text() == "keep\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--n", 12), ("bruteforce", "--n", 6), ("bound", "--n", 50),
+        ("lemma", "--kind", "tracemax", "--trials", 3)],
+        ids=["estimate", "bruteforce", "bound", "lemma"])
+    def test_directory_out_refused_before_any_work(self, argv, tmp_path, capsys,
+                                                   monkeypatch):
+        """Every command that writes one file refuses a directory as --out, as
+        sweep does, before it draws, solves or runs a suite."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("generate_design", "_run_estimator", "brute_force_tls",
+                     "recovery_bound", "run_lemma_suite"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert run(*argv, "--out", tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {tmp_path} is a directory\n"
+
     def test_sigma_checked_against_p_on_noise_axis(self, tmp_path, capsys):
         inst = tmp_path / "inst"
         assert run("gen", "--n", 6, "--out", inst) == 0
@@ -745,6 +790,11 @@ class TestSweep:
             (("bound", "--eta", ","), "grid must be nonempty"),
             ((*sweep, "noise", "--grid", ","), "grid must be nonempty"),
             (("bound", "--c", "nan"), "eta and c must be positive"),
+            # the covariance is checked before the bound's own options
+            (("bound", "--c", "nan", "--sigma", -1), "scalar noise level must be nonnegative"),
+            # an empty --out names the working directory, as it does for sweep
+            (("lemma", "--kind", "tracemax", "--trials", 3, "--out", ""),
+             "--out . is a directory"),
             (("estimate", "--p", -1), "p must be >= 1"),
             (("gen", "--p", -1, "--out", inst), "p must be >= 1"),
             (("gen", "--out", inst / "y1.csv"), f"[Errno 17] File exists: '{inst / 'y1.csv'}'"),

@@ -124,6 +124,10 @@ USAGE_ERRORS = [
     ["lemma", "--kind", "tracemax", "--trials", "3", "--eps", "-1", "--p", "0"],
     ["estimate", "--n", "12", "--truth-x", "missing.csv", "--truth-perm", "missing.txt"],
     ["estimate", "--y1", "y1.csv", "--y2", "y2.csv", "--truth-x", "x.csv"],
+    ["estimate", "--n", "12", "--out", "."],
+    ["bruteforce", "--n", "6", "--out", "."],
+    ["bound", "--n", "50", "--out", "."],
+    ["lemma", "--kind", "tracemax", "--trials", "3", "--out", "."],
 ]
 SWEEP_POINT = ["sweep", "--sweep", "noise", "--grid", "0.1", "--n", "12", "--trials", "1"]
 
